@@ -6,7 +6,10 @@ and rows weakly increasing to the right.  Signed fillings use the ordered
 alphabet 1 < ... < n < 0 < -n < ... < -1 with the same shape of rules except
 that a vertical (0,0) pair is allowed and a horizontal (0,0) pair is not.
 Enumeration is a lazy cell-by-cell backtracking in row-major order, so both
-neighbours of a cell are already placed when it is tried.
+neighbours of a cell are already placed when it is tried.  The two counts,
+lattice fillings of a border strip (``count_LR``) and Kostka numbers
+(``kostka_number``), build no tableau: each is an exact integer dynamic
+programme with a memo that lives only for the call.
 """
 from __future__ import annotations
 
@@ -217,36 +220,80 @@ def is_lattice_permutation(t):
 
 def count_LR(bs, content):
     """Number of lattice-permutation fillings of the strip with the given
-    content partition; zero when the sizes disagree."""
+    content partition; zero when the sizes disagree.
+
+    A dynamic programme over the strip reading word, taken straight from
+    ``bs.columns``: columns right to left, top to bottom inside a column.
+    A state is the content placed so far and the last letter placed.  Inside
+    a column that letter sits above the next cell, which must exceed it; the
+    top cell of a new column shares a row with the bottom of the column to
+    its right, so it may not exceed it.  Letters are capped by the content
+    and by the lattice rule #a <= #(a-1) on every prefix.
+    """
     if not isinstance(content, Partition):
         content = Partition(content)
     if bs.size() != content.size():
         return 0
-    if bs.size() == 0:
+    cap = content.parts
+    nletters = len(cap)
+    # letters are 0-based here; the first cell may take any letter
+    states = {((0,) * nletters, nletters - 1): 1}
+    for m in bs.columns:
+        for i in range(m):
+            nxt = {}
+            for (counts, last), ways in states.items():
+                for a in range(last + 1) if i == 0 else range(last + 1, nletters):
+                    k = counts[a]
+                    if k == cap[a] or (a and k == counts[a - 1]):
+                        continue
+                    key = (counts[:a] + (k + 1,) + counts[a + 1:], a)
+                    nxt[key] = nxt.get(key, 0) + ways
+            states = nxt
+    return sum(states.values())
+
+
+def _horizontal_strips_removed(lam, cells, i=0):
+    """Rows i.. of every nu with lam/nu a horizontal strip of ``cells``
+    cells: row i keeps between lam[i+1] and lam[i] of its cells."""
+    if i == len(lam):
+        if cells == 0:
+            yield ()
+        return
+    floor = lam[i + 1] if i + 1 < len(lam) else 0
+    for take in range(min(cells, lam[i] - floor) + 1):
+        for rest in _horizontal_strips_removed(lam, cells - take, i + 1):
+            yield (lam[i] - take,) + rest
+
+
+def _kostka(lam, mu, k, memo):
+    """Fillings of the shape lam with mu[0] ones, ..., mu[k-1] letters k."""
+    if len(lam) > k:
+        return 0
+    if k == 0:
         return 1
-    want = Counter({i: p for i, p in enumerate(content.parts, start=1) if p})
-    total = 0
-    for t in enumerate_sst(bs.realize(), max(content.length(), 1)):
-        if t.content() == want and is_lattice_permutation(t):
-            total += 1
-    return total
+    key = (lam, k)
+    if key not in memo:
+        memo[key] = sum(
+            _kostka(tuple(p for p in nu if p), mu, k - 1, memo)
+            for nu in _horizontal_strips_removed(lam, mu[k - 1])
+        )
+    return memo[key]
 
 
 def kostka_number(shape, content):
-    """Number of straight-shape semi-standard fillings with given content."""
+    """Number of straight-shape semi-standard fillings with given content.
+
+    Counted by the branching rule: the cells holding the largest letter form
+    a horizontal strip, so K(lam, mu) is the sum of K(nu, mu without its last
+    part) over the nu with lam/nu a horizontal strip of that many cells.
+    """
     if not isinstance(shape, Partition):
         shape = Partition(shape)
     if not isinstance(content, Partition):
         content = Partition(content)
     if shape.size() != content.size():
         return 0
-    if shape.size() == 0:
-        return 1
-    want = Counter({i: p for i, p in enumerate(content.parts, start=1) if p})
-    sd = SkewDiagram(shape, Partition())
-    return sum(
-        1 for t in enumerate_sst(sd, max(content.length(), 1)) if t.content() == want
-    )
+    return _kostka(shape.parts, content.parts, content.length(), {})
 
 
 class GZScheme:

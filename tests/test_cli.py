@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from ribbonchar.cli import main
 
 
@@ -18,6 +20,16 @@ def test_kostka_command(capsys):
     ]
     assert doc["strip_count"] == 14
     assert doc["equal"] is True
+
+
+@pytest.mark.parametrize("n", ["2", "0", "-1"])
+def test_kostka_rank_below_length_is_usage_error(capsys, n):
+    # with fewer letters than rows the oracle is 0 by convention, so neither
+    # a mismatch (n = 2) nor a vacuous agreement (n <= 0) would mean anything
+    code, out, err = run(capsys, "kostka", "--lambda", "3,2,1", "--n", n)
+    assert code == 2
+    assert out == ""
+    assert "--n must be at least 3" in json.loads(err)["error"]
 
 
 def test_verify_rogers_trivial(capsys):

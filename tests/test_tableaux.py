@@ -1,8 +1,12 @@
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ribbonchar.shapes import BorderStrip, Partition, SkewDiagram
+from ribbonchar.shapes import BorderStrip, Partition, SkewDiagram, partitions_of
+from ribbonchar.spectra import enumerate_Sp_N
 from ribbonchar.tableaux import (
     GZScheme,
     STANDARD,
@@ -199,6 +203,72 @@ def test_kostka_number():
     assert kostka_number(Partition((2,)), Partition((1, 1))) == 1
     assert kostka_number(Partition((1, 1)), Partition((2,))) == 0
     assert kostka_number(Partition(), Partition()) == 1
+
+
+def counts_by_enumeration(shape, n, lattice):
+    """Reference counts: how many semi-standard fillings of ``shape`` over
+    1..n have each content (letter counts with trailing zeros dropped),
+    keeping only lattice permutations when ``lattice`` is set."""
+    out = Counter()
+    for t in enumerate_sst(shape, n):
+        content = t.content()
+        key = tuple(content[a] for a in range(1, n + 1))
+        while key and not key[-1]:
+            key = key[:-1]
+        # a lattice word's content is a partition; skip the costly reading
+        # of every other filling
+        if lattice and (
+            any(a < b for a, b in zip(key, key[1:])) or not is_lattice_permutation(t)
+        ):
+            continue
+        out[key] += 1
+    return out
+
+
+def test_count_LR_matches_enumeration_exhaustively():
+    # every strip with columns <= 4 of size <= 7 against every partition of
+    # its size; enumerating over |strip| letters covers every content
+    pairs = 0
+    for size in range(8):
+        for cols in enumerate_Sp_N(size, 4):
+            bs = BorderStrip(cols)
+            want = counts_by_enumeration(bs.realize(), max(size, 1), lattice=True)
+            for lam in partitions_of(size):
+                assert count_LR(bs, lam) == want[lam.parts], (bs, lam)
+                pairs += 1
+    assert pairs == 1322
+
+
+def test_kostka_number_matches_enumeration_exhaustively():
+    for size in range(8):
+        for lam in partitions_of(size):
+            want = counts_by_enumeration(
+                SkewDiagram(lam, Partition()), max(size, 1), lattice=False
+            )
+            for mu in partitions_of(size):
+                assert kostka_number(lam, mu) == want[mu.parts], (lam, mu)
+
+
+@st.composite
+def strips_with_content(draw):
+    # sizes 0 and 1 have one strip each, checked exhaustively above
+    size = draw(st.integers(2, 9))
+    cuts = sorted(draw(st.sets(st.integers(1, size - 1))))
+    bounds = [0, *cuts, size]
+    bs = BorderStrip(b - a for a, b in zip(bounds, bounds[1:]))
+    # at most four parts: the reference enumerates every filling over
+    # len(content) letters, which for longer contents of size 9 runs to
+    # hundreds of thousands of tableaux per example
+    content = draw(st.sampled_from(partitions_of(size, max_length=4)))
+    return bs, content
+
+
+@settings(max_examples=60, deadline=None)
+@given(strips_with_content())
+def test_count_LR_matches_enumeration_on_random_strips(case):
+    bs, content = case
+    want = counts_by_enumeration(bs.realize(), content.length(), lattice=True)
+    assert count_LR(bs, content) == want[content.parts]
 
 
 def test_tableau_json_round_trip():
