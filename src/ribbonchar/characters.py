@@ -4,8 +4,8 @@ level-1 characters, and the strip formula for Kostka-Foulkes polynomials
 with its independent extraction oracle."""
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from itertools import product
 
 from .polyring import (
     QPoly,
@@ -155,59 +155,55 @@ def conformal_dimension(n, k):
     return Fraction(k * (n - k), 2 * n)
 
 
-# ---------------------------------------------------------------------------
-# Strip enumeration for the level-1 decomposition.
-#
-# A strip with columns (m_1..m_r), prefix sums p_j and size m contributes at
-# exponent f = m(n-m)/(2n) + sum_{j<r} p_j.  Walking back from p_r = m with
-# the last column at most n-1 and interior columns at most n gives
-#     p_j >= max(j, m - (n-1) - (r-1-j)*n),
-# so f >= lb(m, r) := m(n-m)/(2n) + sum_j max(...).  For fixed r the size m
-# is at most r*n - 1, and lb grows without bound in r (the densest strips
-# have lb ~ r), so scanning r until lb exceeds the cutoff for several
-# consecutive values terminates and provably covers the window; the margin
-# is rechecked by tests that enlarge the box.
-# ---------------------------------------------------------------------------
+def decomposition_strips(n, cutoff, residue):
+    """Yield (blocks, exponent) for every strip with exponent <= cutoff whose
+    size is congruent to ``residue`` mod n.
 
+    Strips have columns m_1..m_r in 1..n with the final column at most n-1;
+    the empty strip has size 0 and exponent 0.  With prefix sums p_j a strip
+    sits at exponent F / (2n), where
 
-def _strip_lb(m, r, n):
-    tail = sum(
-        max(j, m - (n - 1) - (r - 1 - j) * n) for j in range(1, r)
-    )
-    return Fraction(m * (n - m), 2 * n) + tail
+        F = 2n * sum_{j<r} p_j + p_r (n - p_r),
 
+    so the search runs over columns in integers against
+    cap = floor(2n * cutoff), and builds a Fraction only for emitted strips.
 
-def decomposition_strips(n, cutoff, extra_columns=2):
-    """Yield (blocks, exponent) for every strip with exponent <= cutoff.
+    The pruning is complete.  Take a prefix whose prefix sums total S (its
+    last one, p, included).  Every strip extending it by one column has p_r
+    in [p+1, p+n-1]; x(n-x) is concave and symmetric about n/2, so on that
+    interval its minimum is at p+n-1, and such a strip has
 
-    Strips have columns in 1..n with the final column at most n-1; the
-    empty strip contributes exponent 0.
+        F >= B(S, p) := 2n S + (p+n-1)(1-p).
+
+    Appending a column c to the prefix raises B by
+    2p(n-c) + c(n+2-c) >= n+1, so a strip extending the prefix by more
+    columns lies above the bound of a longer prefix, hence above B(S, p).
+    A prefix with B > cap therefore has no extension inside the window, and
+    as B starts at n-1 and grows by at least n+1 per column, no strip has
+    more than (cap - n + 1) / (n + 1) + 1 columns: the search terminates.
+    For a fixed prefix B is not monotone in c, so every c is tried.
     """
-    cutoff = Fraction(cutoff)
-    if cutoff >= 0:
+    residue %= n
+    two_n = 2 * n
+    cap = math.floor(two_n * Fraction(cutoff))
+    if cap >= 0 and residue == 0:
         yield (), Fraction(0)
-    r = 1
-    misses = 0
-    while misses <= extra_columns:
-        feasible = [
-            m for m in range(r, r * n) if _strip_lb(m, r, n) <= cutoff
-        ]
-        if not feasible:
-            misses += 1
-            r += 1
-            continue
-        misses = 0
-        for blocks in product(*([range(1, n + 1)] * (r - 1) + [range(1, n)])):
-            m = sum(blocks)
-            acc = 0
-            psum = 0
-            for b in blocks[:-1]:
-                psum += b
-                acc += psum
-            f = Fraction(m * (n - m), 2 * n) + acc
-            if f <= cutoff:
-                yield blocks, f
-        r += 1
+    prefix = []
+
+    def grow(S, p):
+        for c in range(1, n + 1):
+            q = p + c
+            if c < n and q % n == residue:
+                F = two_n * S + q * (n - q)
+                if F <= cap:
+                    yield (*prefix, c), Fraction(F, two_n)
+            T = S + q
+            if two_n * T + (q + n - 1) * (1 - q) <= cap:
+                prefix.append(c)
+                yield from grow(T, q)
+                prefix.pop()
+
+    yield from grow(0, 0)
 
 
 def level1_decomposition(n, k, order, variant="a"):
@@ -221,48 +217,68 @@ def level1_decomposition(n, k, order, variant="a"):
     ring = Ring(n, relation=True)
     delta = conformal_dimension(n, k)
     cutoff = delta + order
-    residue = k % n if variant == "a" else (n - k) % n
+    residue = k if variant == "a" else n - k
 
     def contributions():
-        for blocks, expo in decomposition_strips(n, cutoff):
-            if sum(blocks) % n != residue:
-                continue
+        for blocks, expo in decomposition_strips(n, cutoff, residue):
             val = _schur.schur_strip_cached(blocks, n, relation=True)
             if variant == "b":
                 val = val.subs_x_inverse()
             yield expo, val
 
-    return build_qseries(ring, delta, order, contributions(), drop_above=True)
+    return build_qseries(ring, delta, order, contributions())
 
 
 def level1_theta(n, k, order):
     """Lattice-sum form of the sector-k character.
 
-    Weight classes are enumerated by integer vectors with minimum entry 0
-    and coordinate sum congruent to k mod n; such a vector a sits at
-    exponent (sum a_i^2 - (sum a_i)^2 / n) / 2 and the variance bound
-    confines the search to a finite box.  The result carries the
-    inverse-q-factorial denominator to the requested order.
+    Weight classes are enumerated by integer vectors a with minimum entry 0
+    and coordinate sum s congruent to k mod n; such a vector sits at
+    exponent (n * sum a_i^2 - s^2) / (2n), and
+
+        n * sum a_i^2 - s^2 = sum_{i<j} (a_i - a_j)^2.
+
+    Pairing each a_i with a zero entry bounds a_i^2 by that sum, so every
+    entry is at most isqrt(cap) with cap = floor(2n * cutoff).  The search
+    fixes one coordinate at a time; the pairwise sum over the coordinates
+    fixed so far only grows, and it is convex in the next coordinate, so
+    the scan over that coordinate stops once it is past the minimum and
+    over the cap.  The result carries the inverse-q-factorial denominator
+    to the requested order.
     """
     if not 0 <= k < n:
         raise ValueError("sector out of range")
     ring = Ring(n, relation=True)
     delta = conformal_dimension(n, k)
     cutoff = delta + order
-    box = int((2 * float(cutoff)) ** 0.5 * 2) + 2
+    two_n = 2 * n
+    cap = math.floor(two_n * cutoff)
+    box = math.isqrt(max(cap, 0))
+    doubled = []
 
-    def contributions():
-        for a in product(range(box + 1), repeat=n):
-            if min(a) != 0:
+    def grow(i, s, squares, pairs, has_zero):
+        # i coordinates fixed, with sum s, sum of squares ``squares`` and
+        # pairwise sum ``pairs``
+        if i == n:
+            yield Fraction(pairs, two_n), ring.monomial(tuple(doubled))
+            return
+        if i < n - 1:
+            xs = range(box + 1)
+        elif has_zero:
+            xs = range((k - s) % n, box + 1, n)
+        else:
+            xs = (0,) if (k - s) % n == 0 else ()
+        for x in xs:
+            total = pairs + i * x * x - 2 * s * x + squares
+            if total > cap:
+                if i * x >= s:
+                    break
                 continue
-            s = sum(a)
-            if s % n != k % n:
-                continue
-            expo = Fraction(sum(x * x for x in a), 2) - Fraction(s * s, 2 * n)
-            if expo <= cutoff:
-                yield expo, ring.monomial(tuple(2 * x for x in a))
+            doubled.append(2 * x)
+            yield from grow(i + 1, s + x, squares + x * x, total, has_zero or x == 0)
+            doubled.pop()
 
-    numerator = build_qseries(ring, delta, order, contributions(), drop_above=True)
+    numerator = build_qseries(ring, delta, order, grow(0, 0, 0, 0, False))
     return numerator * inverse_pochhammer_series(ring, n - 1, order)
 
 
@@ -318,12 +334,14 @@ def kostka_foulkes(lam, n=None):
     of the size of lam with columns bounded by n.
 
     Single-column strips carry statistic 0; the convention is pinned by the
-    extraction oracle and by the q-multinomial identity behind it.
+    extraction oracle and by the q-multinomial identity behind it.  A column
+    longer than the length of lam has no strictly increasing filling from
+    its letters, so columns are listed only up to that length.
     """
     if not isinstance(lam, Partition):
         lam = Partition(lam)
-    if n is None:
-        n = max(lam.length(), 1)
+    least = max(lam.length(), 1)
+    n = least if n is None else min(n, least)
     strips = []
     poly = QPoly()
     for blocks in enumerate_Sp_N(lam.size(), n):
@@ -394,9 +412,9 @@ def branching_function(k, lam, n, order):
     one = (0,) * n
 
     def contributions():
-        for blocks, expo in decomposition_strips(n, cutoff):
+        for blocks, expo in decomposition_strips(n, cutoff, k):
             m = sum(blocks)
-            if m % n != k % n or m < lam.size():
+            if m < lam.size():
                 continue
             j = (m - lam.size()) // n
             content = lam.padded(n, add=j)
@@ -404,4 +422,4 @@ def branching_function(k, lam, n, order):
             if c:
                 yield expo, ring.monomial(one, c)
 
-    return build_qseries(ring, delta, order, contributions(), drop_above=True)
+    return build_qseries(ring, delta, order, contributions())

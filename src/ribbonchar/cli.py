@@ -9,6 +9,7 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -69,6 +70,16 @@ def report(identity, parameters, lhs, rhs, started):
     if first is not None:
         doc["first_mismatch"] = first
     return doc
+
+
+def check_level1(n, order, k=0):
+    """Reject a rank, sector or truncation order outside the level-1 range."""
+    if n < 1:
+        raise UsageError(f"--n must be at least 1, got {n}")
+    if not 0 <= k < n:
+        raise UsageError(f"--k must be in 0..{n - 1} for n = {n}, got {k}")
+    if order < 0:
+        raise UsageError(f"--order must be nonnegative, got {order}")
 
 
 def parse_blocks(text):
@@ -157,6 +168,7 @@ def cmd_fiber(args):
 
 
 def cmd_decompose(args):
+    check_level1(args.n, args.order, args.k)
     started = time.perf_counter()
     series = characters.level1_decomposition(args.n, args.k, args.order, args.variant)
     doc = {
@@ -209,10 +221,11 @@ def cmd_verify(args):
         rec = characters.rogers_szego_recursive(args.N, args.n)
         checks.append(report("multinomial_recursion", {"n": args.n, "N": args.N}, rec, rhs, started))
     elif args.what == "djkmo":
+        check_level1(args.n, args.order, args.k)
+        started = time.perf_counter()
+        rhs = characters.level1_theta(args.n, args.k, args.order)
         for variant in ("a", "b"):
-            started = time.perf_counter()
             lhs = characters.level1_decomposition(args.n, args.k, args.order, variant)
-            rhs = characters.level1_theta(args.n, args.k, args.order)
             checks.append(
                 report(
                     f"strip_decomposition_{variant}_equals_theta",
@@ -222,6 +235,7 @@ def cmd_verify(args):
                     started,
                 )
             )
+            started = time.perf_counter()
     elif args.what == "polychronakos":
         started = time.perf_counter()
         lhs = characters.polychronakos_partition(args.N, args.n)
@@ -275,6 +289,7 @@ def verify_all(args):
 
 def cmd_twisted(args):
     if args.twhat == "verify":
+        check_level1(args.n, args.order)
         started = time.perf_counter()
         lhs = twisted.twisted_decomposition(args.n, args.order)
         rhs = twisted.twisted_level1_theta(args.n, args.order)
@@ -305,6 +320,7 @@ def cmd_twisted(args):
     raise UsageError(f"unknown twisted subcommand {args.twhat!r}")
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="ribbonchar",

@@ -1,6 +1,10 @@
+import math
 from fractions import Fraction
+from itertools import accumulate, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ribbonchar.characters import (
     A_closed,
@@ -19,7 +23,14 @@ from ribbonchar.characters import (
     rogers_szego,
     rogers_szego_recursive,
 )
-from ribbonchar.polyring import QPoly, QSeries, Ring, q_pochhammer
+from ribbonchar.polyring import (
+    QPoly,
+    QSeries,
+    Ring,
+    build_qseries,
+    inverse_pochhammer_series,
+    q_pochhammer,
+)
 from ribbonchar.schur import schur_straight_cached, schur_strip_cached
 from ribbonchar.shapes import Partition
 from ribbonchar.spectra import Z_vertex_direct
@@ -151,13 +162,105 @@ def test_variants_agree():
             assert eq
 
 
+def strip_depth(n, cutoff):
+    """Most columns a strip inside the window can have, by the bound proved
+    in ``decomposition_strips``."""
+    cap = math.floor(2 * n * Fraction(cutoff))
+    return max(0, (cap - n + 1) // (n + 1) + 1)
+
+
+def brute_force_strips(n, cutoff, residue, columns):
+    """Every strip of at most ``columns`` columns with size congruent to
+    ``residue`` mod n and exponent <= cutoff: all column tuples, filtered."""
+    out = set()
+    if cutoff >= 0 and residue % n == 0:
+        out.add(((), Fraction(0)))
+    for r in range(1, columns + 1):
+        for blocks in product(*([range(1, n + 1)] * (r - 1) + [range(1, n)])):
+            m = sum(blocks)
+            if m % n != residue % n:
+                continue
+            f = Fraction(m * (n - m), 2 * n) + sum(accumulate(blocks[:-1]))
+            if f <= cutoff:
+                out.add((blocks, f))
+    return out
+
+
+def assert_strips_match_brute_force(n, cutoff, margin):
+    for residue in range(n):
+        got = list(decomposition_strips(n, cutoff, residue))
+        assert len(got) == len(set(got)), (n, cutoff, residue)
+        expected = brute_force_strips(n, cutoff, residue, strip_depth(n, cutoff) + margin)
+        assert set(got) == expected, (n, cutoff, residue)
+
+
+def test_strips_match_brute_force():
+    cutoffs = {
+        2: (0, Fraction(1, 4), 3, Fraction(13, 2)),
+        3: (Fraction(1, 3), 2, Fraction(13, 3)),
+        4: (Fraction(3, 8), Fraction(5, 2), Fraction(7, 2)),
+        5: (Fraction(2, 5), Fraction(3, 2), Fraction(5, 2)),
+    }
+    for n, values in cutoffs.items():
+        for cutoff in values:
+            assert_strips_match_brute_force(n, cutoff, margin=2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 5).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(-1, 5 * n + 5))))
+def test_strips_match_brute_force_random(case):
+    n, a = case
+    assert_strips_match_brute_force(n, Fraction(a, 2 * n), margin=1)
+
+
 def test_strip_enumeration_box_is_saturated():
-    # enlarging the search box must not add strips inside the window
-    for n in (2, 3, 4):
-        cutoff = Fraction(13, 2)
-        small = sorted((b, e) for b, e in decomposition_strips(n, cutoff, extra_columns=2))
-        large = sorted((b, e) for b, e in decomposition_strips(n, cutoff, extra_columns=6))
-        assert small == large
+    # enlarging the search box must not add strips inside the window: the
+    # brute force run three columns past the proved depth finds nothing new
+    for n, cutoff in ((2, Fraction(13, 2)), (3, Fraction(9, 2)), (4, Fraction(3))):
+        depth = strip_depth(n, cutoff)
+        for residue in range(n):
+            small = brute_force_strips(n, cutoff, residue, depth)
+            large = brute_force_strips(n, cutoff, residue, depth + 3)
+            assert small == large == set(decomposition_strips(n, cutoff, residue))
+
+
+def theta_by_float_box(n, k, order):
+    """The lattice sum over a box sized by a float square root, every vector
+    of the box filtered."""
+    ring = Ring(n, relation=True)
+    delta = conformal_dimension(n, k)
+    cutoff = delta + order
+    box = int((2 * float(cutoff)) ** 0.5 * 2) + 2
+    terms = []
+    for a in product(range(box + 1), repeat=n):
+        s = sum(a)
+        if min(a) != 0 or s % n != k:
+            continue
+        expo = Fraction(sum(x * x for x in a), 2) - Fraction(s * s, 2 * n)
+        if expo <= cutoff:
+            terms.append((expo, ring.monomial(tuple(2 * x for x in a))))
+    numerator = build_qseries(ring, delta, order, terms, drop_above=True)
+    return numerator * inverse_pochhammer_series(ring, n - 1, order)
+
+
+def test_theta_matches_float_box():
+    for n in range(2, 6):
+        for k in range(n):
+            for order in range(4 if n < 5 else 3):
+                theta = level1_theta(n, k, order)
+                eq, mismatch = theta.compare(theta_by_float_box(n, k, order))
+                assert eq, (n, k, order, mismatch)
+
+
+def test_theta_equals_decomposition_large():
+    # sizes the full-box strip search needed tens of seconds for
+    for n, order in ((4, 10), (5, 8)):
+        for k in range(n):
+            theta = level1_theta(n, k, order)
+            for variant in ("a", "b"):
+                eq, mismatch = theta.compare(level1_decomposition(n, k, order, variant))
+                assert eq, (n, k, variant, mismatch)
 
 
 def test_polychronakos():

@@ -32,6 +32,21 @@ def test_kostka_rank_below_length_is_usage_error(capsys, n):
     assert "--n must be at least 3" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("decompose", "--n", "3", "--k", "5"),
+    ("decompose", "--n", "0", "--k", "0"),
+    ("verify", "djkmo", "--n", "3", "--k", "3"),
+    ("verify", "djkmo", "--order", "-1"),
+    ("twisted", "verify", "--n", "0"),
+    ("twisted", "verify", "--n", "1", "--order", "-1"),
+])
+def test_level1_arguments_out_of_range_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]
+
+
 def test_verify_rogers_trivial(capsys):
     code, out, _ = run(capsys, "verify", "rogers", "--n", "2", "--N", "0")
     assert code == 0
