@@ -18,11 +18,9 @@ from .shapes import (
     Partition,
     SkewDiagram,
     complement,
-    conjugate,
     drinfeld_polynomials,
     is_border_strip,
     is_rank,
-    realize_border_strip,
     strip_from_skew,
     t_statistic,
 )
@@ -81,7 +79,6 @@ from .characters import (
 )
 from .twisted import (
     TwistedConfiguration,
-    bn_fundamental_data,
     chi_twisted,
     energy_twisted,
     kappa_twisted,

@@ -6,9 +6,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 from .polyring import (
     QPoly,
+    QSeries,
     Ring,
     build_qseries,
     gaussian_multinomial,
@@ -91,24 +93,9 @@ def F_N(N, n):
     out = ring.zero()
     base = N * (N + 1) // 2
     for blocks in enumerate_Sp_N(N, n):
-        acc = 0
-        psum = 0
-        for m in blocks:
-            psum += m
-            acc += psum
+        acc = sum(accumulate(blocks))
         out = out + _schur.schur_strip_cached(blocks, n) * QPoly.term(base - acc)
     return out
-
-
-def _ordered_partitions(m, bound=None):
-    """All ordered tuples of positive parts summing to m."""
-    if m == 0:
-        yield ()
-        return
-    top = m if bound is None else min(bound, m)
-    for first in range(1, top + 1):
-        for rest in _ordered_partitions(m - first, bound):
-            yield (first,) + rest
 
 
 def _a_exponent(N, m, ks):
@@ -121,7 +108,7 @@ def A_coefficient(N, m, n=None):
     if not 1 <= m <= N:
         raise ValueError("need 1 <= m <= N")
     out = QPoly()
-    for ks in _ordered_partitions(m, bound=n):
+    for ks in enumerate_Sp_N(m, m if n is None else n):
         term = QPoly.term(_a_exponent(N, m, ks))
         out = out + (term if len(ks) % 2 == 1 else -term)
     return out
@@ -141,7 +128,7 @@ def A_split_contributions(N, m):
     """The two sub-sums over ordered partitions ending in 1 versus >= 2."""
     ending_one = QPoly()
     bumped = QPoly()
-    for ks in _ordered_partitions(m):
+    for ks in enumerate_Sp_N(m, m):
         term = QPoly.term(_a_exponent(N, m, ks))
         signed = term if len(ks) % 2 == 1 else -term
         if ks[-1] == 1:
@@ -218,15 +205,22 @@ def level1_decomposition(n, k, order, variant="a"):
     delta = conformal_dimension(n, k)
     cutoff = delta + order
     residue = k if variant == "a" else n - k
-
-    def contributions():
-        for blocks, expo in decomposition_strips(n, cutoff, residue):
-            val = _schur.schur_strip_cached(blocks, n, relation=True)
-            if variant == "b":
-                val = val.subs_x_inverse()
-            yield expo, val
-
-    return build_qseries(ring, delta, order, contributions())
+    series = build_qseries(
+        ring,
+        delta,
+        order,
+        (
+            (expo, _schur.schur_strip_cached(blocks, n, relation=True))
+            for blocks, expo in decomposition_strips(n, cutoff, residue)
+        ),
+    )
+    if variant == "b":
+        # x -> 1/x is additive, so inverting each summed coefficient once
+        # equals summing the inverted strip Schur functions
+        series = QSeries(
+            ring, delta, [c.subs_x_inverse() for c in series.coeffs], order
+        )
+    return series
 
 
 def level1_theta(n, k, order):

@@ -72,10 +72,17 @@ def report(identity, parameters, lhs, rhs, started):
     return doc
 
 
-def check_level1(n, order, k=0):
-    """Reject a rank, sector or truncation order outside the level-1 range."""
+def check_rank(n, N=0):
+    """Reject a rank below 1 or a negative truncation length."""
     if n < 1:
         raise UsageError(f"--n must be at least 1, got {n}")
+    if N < 0:
+        raise UsageError(f"--N must be nonnegative, got {N}")
+
+
+def check_level1(n, order, k=0):
+    """Reject a rank, sector or truncation order outside the level-1 range."""
+    check_rank(n)
     if not 0 <= k < n:
         raise UsageError(f"--k must be in 0..{n - 1} for n = {n}, got {k}")
     if order < 0:
@@ -87,12 +94,16 @@ def parse_blocks(text):
     if not text:
         return ()
     try:
-        return tuple(int(tok) for tok in text.split(","))
+        blocks = tuple(int(tok) for tok in text.split(","))
     except ValueError as exc:
         raise UsageError(f"bad block list {text!r}") from exc
+    if min(blocks) < 1:
+        raise UsageError(f"blocks must be positive, got {text!r}")
+    return blocks
 
 
 def cmd_schur(args):
+    check_rank(args.n)
     try:
         shape = SkewDiagram.from_str(args.shape)
     except ValueError as exc:
@@ -114,6 +125,7 @@ def cmd_schur(args):
 
 
 def cmd_spectrum(args):
+    check_rank(args.n, args.N)
     rows = []
     for blocks in sorted(spectra.enumerate_Sp_N(args.N, args.n)):
         point_sector = sum(blocks) % args.n
@@ -151,6 +163,7 @@ def cmd_spectrum(args):
 
 
 def cmd_fiber(args):
+    check_rank(args.n)
     blocks = parse_blocks(args.h)
     try:
         point = spectra.SpectrumPoint(blocks, args.n)
@@ -212,6 +225,8 @@ def cmd_kostka(args):
 
 def cmd_verify(args):
     checks = []
+    if args.what in ("rogers", "polychronakos"):
+        check_rank(args.n, args.N)
     if args.what == "rogers":
         started = time.perf_counter()
         lhs = characters.F_N(args.N, args.n)
@@ -302,6 +317,7 @@ def cmd_twisted(args):
         )
         return (0 if doc["equal"] else 1), doc
     if args.twhat == "schur":
+        check_rank(args.n)
         blocks = parse_blocks(args.h)
         if args.method == "enum":
             poly = twisted.chi_twisted(blocks, args.n)

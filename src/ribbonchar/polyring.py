@@ -708,12 +708,10 @@ class QSeries:
         return " + ".join(bits) if bits else "0"
 
 
-def build_qseries(ring, offset, order, contributions, drop_above=False):
+def build_qseries(ring, offset, order, contributions):
     """Assemble a QSeries from (rational exponent, Laurent) contributions.
 
-    Exponents must sit in offset + Z_{>=0}.  Contributions beyond the window
-    raise unless ``drop_above`` is set (set it when enumerating slightly past
-    a truncation cutoff on purpose).
+    Exponents must sit in offset + Z_{>=0}, no higher than offset + order.
     """
     offset = Fraction(offset)
     coeffs = [ring.zero() for _ in range(order + 1)]
@@ -723,8 +721,6 @@ def build_qseries(ring, offset, order, contributions, drop_above=False):
             raise ValueError(f"exponent {expo} not in offset {offset} + Z>=0")
         j = int(j)
         if j > order:
-            if drop_above:
-                continue
             raise ValueError(f"exponent {expo} beyond window order {order}")
         coeffs[j] = coeffs[j] + value
     return QSeries(ring, offset, coeffs, order)

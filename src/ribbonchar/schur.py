@@ -3,6 +3,8 @@ determinant, and by the border-strip determinant, plus the expansion into
 straight Schur functions."""
 from __future__ import annotations
 
+from itertools import accumulate
+
 from .polyring import Ring, determinant, elementary_symmetric
 from .shapes import Partition, SkewDiagram, is_border_strip, partitions_of, strip_from_skew
 from .tableaux import enumerate_sst, tableau_weight
@@ -52,9 +54,7 @@ def schur_border_strip_det(bs, n, relation=False):
     r = len(bs.columns)
     if r == 0:
         return ring.one()
-    psum = [0]
-    for m in bs.columns:
-        psum.append(psum[-1] + m)
+    psum = list(accumulate(bs.columns, initial=0))
     matrix = [
         [e_m(ring, psum[r + 1 - i] - psum[r - j]) for j in range(1, r + 1)]
         for i in range(1, r + 1)

@@ -9,6 +9,7 @@ the CLI: partition ``"5,4,3,1"`` (``"0"`` or ``""`` for empty), skew diagram
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 
 
 class Partition:
@@ -87,10 +88,6 @@ class Partition:
 
     def __str__(self):
         return ",".join(str(p) for p in self.parts) if self.parts else "0"
-
-
-def conjugate(p):
-    return p.conjugate()
 
 
 def partitions_of(total, max_length=None):
@@ -235,9 +232,7 @@ class BorderStrip:
         r = len(self.columns)
         if r == 0:
             return SkewDiagram(Partition(), Partition())
-        psum = [0]
-        for m in self.columns:
-            psum.append(psum[-1] + m)
+        psum = list(accumulate(self.columns, initial=0))
         lam_c = [psum[r + 1 - i] - r + i for i in range(1, r + 1)]
         mu_c = [psum[r - i] - r + i for i in range(1, r + 1)]
         return SkewDiagram(Partition(lam_c).conjugate(), Partition(mu_c).conjugate())
@@ -255,8 +250,10 @@ class BorderStrip:
         return "<" + ",".join(str(m) for m in self.columns) + ">"
 
 
-def realize_border_strip(bs):
-    return bs.realize()
+def blocks_from_ones(ones):
+    """Block list of a 0/1 sequence given the ascending positions
+    (1-indexed) of its ones: each block runs up to and including a one."""
+    return tuple(p - q for q, p in zip((0, *ones), ones))
 
 
 def strip_from_skew(sd):

@@ -11,9 +11,10 @@ and are handled as plain block tuples.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, product
 
 from .polyring import Ring, build_qseries
-from .shapes import BorderStrip
+from .shapes import BorderStrip, blocks_from_ones
 from .tableaux import STANDARD, Tableau, strip_cell_order
 from . import schur as _schur
 
@@ -130,13 +131,9 @@ def h_map(s):
         if local_energy(s.letter(i), s.letter(i + 1)) == 1
     ]
     ones.append(m + n)  # first tail one; all later blocks equal n
-    blocks = []
-    prev = 0
-    for p in ones:
-        blocks.append(p - prev)
-        prev = p
+    blocks = blocks_from_ones(ones)
     while blocks and blocks[-1] == n:
-        blocks.pop()
+        blocks = blocks[:-1]
     return SpectrumPoint(blocks, n)
 
 
@@ -190,39 +187,51 @@ def phi_inverse(s, h):
     return Tableau(shape, entries, STANDARD, s.n)
 
 
+def local_energy_words(letters, H, bits, tail):
+    """Words w_1..w_m over ``letters`` with H(w_i, w_(i+1)) = bits[i-1],
+    where w_(m+1) is the letter ``tail``, in the lexicographic order of
+    ``letters``.  Empty ``bits`` give the single empty word.
+
+    The letters allowed after each (letter, bit) are tabulated once from H,
+    so the depth-first scan never calls H between two letters of the word.
+    """
+    m = len(bits)
+    if m == 0:
+        yield ()
+        return
+    follow = {
+        (a, bit): [b for b in letters if H(a, b) == bit]
+        for a in letters
+        for bit in (0, 1)
+    }
+    ends = {a for a in letters if H(a, tail) == bits[-1]}
+    word = []
+
+    def extend(choices):
+        i = len(word)
+        if i == m - 1:
+            for a in choices:
+                if a in ends:
+                    yield (*word, a)
+            return
+        for a in choices:
+            word.append(a)
+            yield from extend(follow[a, bits[i]])
+            word.pop()
+
+    yield from extend(letters)
+
+
 def enumerate_fiber(h):
-    """Brute force over letter prefixes matching the local energies.
+    """Letter prefixes whose local energies, followed by the tail letter 1,
+    are those of the spectrum point.
 
     Uses only the local energy function; the tableau machinery is never
     consulted, so this is an independent oracle for the bijection.
     """
-    n = h.n
-    m = h.size()
-    target = [h.value(i) for i in range(1, m + 1)]
-
-    def extend(prefix):
-        i = len(prefix)
-        if i == m:
-            yield SpinConfiguration(prefix, n)
-            return
-        for a in range(1, n + 1):
-            if prefix:
-                if local_energy(prefix[-1], a) != target[i - 1]:
-                    continue
-            prefix.append(a)
-            yield from extend(prefix)
-            prefix.pop()
-
-    def finishes(prefix):
-        # the letter after the prefix is 1 (tail start)
-        return local_energy(prefix[-1], 1) == target[m - 1]
-
-    if m == 0:
-        yield SpinConfiguration((), n)
-        return
-    for cand in extend([]):
-        if finishes(list(cand.prefix)):
-            yield cand
+    target = [h.value(i) for i in range(1, h.size() + 1)]
+    for word in local_energy_words(range(1, h.n + 1), local_energy, target, 1):
+        yield SpinConfiguration(word, h.n)
 
 
 def fiber_character(h, relation=True):
@@ -235,11 +244,7 @@ def excitation_energy(blocks, n):
     """sum_i i*(h_i - ground_i) for a block list (final block n allowed)."""
     m = sum(blocks)
     k = m % n
-    psums = set()
-    acc = 0
-    for b in blocks:
-        acc += b
-        psums.add(acc)
+    psums = set(accumulate(blocks))
     return sum(
         i * ((1 if i in psums else 0) - ground_energy_value(i, k, n))
         for i in range(1, m + 1)
@@ -285,12 +290,7 @@ def motif_to_blocks(d, n):
             raise ValueError(f"motif has {n} consecutive ones")
     ones = [i for i, bit in enumerate(d, start=1) if bit == 0]
     ones.append(N)
-    blocks = []
-    prev = 0
-    for p in ones:
-        blocks.append(p - prev)
-        prev = p
-    return tuple(blocks)
+    return blocks_from_ones(ones)
 
 
 def hs_eigenvalue(d, N=None):
@@ -343,21 +343,16 @@ def Z_vertex_direct(N, n, relation=False):
     """Same partition function summed configuration by configuration."""
     ring = Ring(n, relation)
     order = polychronakos_ground_energy(N, n)
-
-    def contributions():
-        def extend(prefix):
-            if len(prefix) == N:
-                s = SpinConfiguration(prefix, n)
-                vec = [0] * n
-                for a in prefix:
-                    vec[a - 1] += 2
-                yield energy(s), ring.monomial(tuple(vec))
-                return
-            for a in range(1, n + 1):
-                prefix.append(a)
-                yield from extend(prefix)
-                prefix.pop()
-
-        yield from extend([])
-
-    return build_qseries(ring, 0, order, contributions())
+    letters = range(1, n + 1)
+    return build_qseries(
+        ring,
+        0,
+        order,
+        (
+            (
+                energy(SpinConfiguration(word, n)),
+                ring.monomial(tuple(2 * word.count(a) for a in letters)),
+            )
+            for word in product(letters, repeat=N)
+        ),
+    )

@@ -4,7 +4,8 @@ by fiber brute force and by the sigma/t determinant, and the level-1
 lattice form versus the strip decomposition."""
 from __future__ import annotations
 
-from itertools import product
+from functools import partial
+from itertools import accumulate, product
 
 from .polyring import (
     Ring,
@@ -13,7 +14,8 @@ from .polyring import (
     elementary_symmetric,
     inverse_pochhammer_series,
 )
-from .shapes import BorderStrip
+from .shapes import BorderStrip, blocks_from_ones
+from .spectra import local_energy_words
 from .tableaux import (
     enumerate_L_admissible,
     signed_alphabet,
@@ -75,12 +77,7 @@ def h_map_twisted(s):
         for i in range(1, m + 1)
         if local_energy_twisted(s.letter(i), s.letter(i + 1), n) == 1
     ]
-    blocks = []
-    prev = 0
-    for p in ones:
-        blocks.append(p - prev)
-        prev = p
-    return tuple(blocks)
+    return blocks_from_ones(ones)
 
 
 def energy_twisted(s):
@@ -111,38 +108,19 @@ def kappa_twisted(blocks, n):
 
 
 def enumerate_twisted_fiber(blocks, n):
-    """Depth-first scan of prefixes whose local energies realize the blocks.
+    """Prefixes whose local energies, followed by the all-zero tail,
+    realize the blocks.
 
     After the last forced 1 the letters must ascend strictly to 0 and stay
     there, so prefixes longer than p_r + n + 1 never occur; the scan length
     below is safely beyond that.
     """
-    blocks = tuple(blocks)
-    m = sum(blocks)
-    limit = m + n + 2
-    psums = set()
-    acc = 0
-    for b in blocks:
-        acc += b
-        psums.add(acc)
+    psums = set(accumulate(blocks))
+    limit = sum(blocks) + n + 2
     target = [1 if i in psums else 0 for i in range(1, limit + 1)]
-    letters = signed_alphabet(n)
-
-    def extend(prefix):
-        i = len(prefix)
-        if i == limit:
-            # boundary with the all-zero tail
-            if local_energy_twisted(prefix[-1], 0, n) == target[limit - 1]:
-                yield TwistedConfiguration(prefix, n)
-            return
-        for a in letters:
-            if prefix and local_energy_twisted(prefix[-1], a, n) != target[i - 1]:
-                continue
-            prefix.append(a)
-            yield from extend(prefix)
-            prefix.pop()
-
-    yield from extend([])
+    H = partial(local_energy_twisted, n=n)
+    for word in local_energy_words(signed_alphabet(n), H, target, 0):
+        yield TwistedConfiguration(word, n)
 
 
 def chi_twisted(blocks, n, method="tableaux"):
@@ -216,20 +194,13 @@ def t_character(n, m):
     return out
 
 
-def bn_fundamental_data(n, max_m):
-    """The spin character together with the t entries up to ``max_m``."""
-    return sigma_character(n), {m: t_character(n, m) for m in range(max_m + 1)}
-
-
 def sL_determinant(blocks, n):
     """Closed form of the fiber character: sigma times the bordered
     Hessenberg determinant in the t characters."""
     blocks = tuple(blocks)
     ring = Ring(n, relation=False)
     r = len(blocks)
-    psum = [0]
-    for m in blocks:
-        psum.append(psum[-1] + m)
+    psum = list(accumulate(blocks, initial=0))
     size = r + 1
     matrix = [[ring.one()] * size]
     for i in range(1, size):
@@ -312,5 +283,5 @@ def twisted_level1_theta(n, order):
             if expo <= order:
                 yield expo, ring.monomial(tuple(2 * g + 1 for g in gamma))
 
-    numerator = build_qseries(ring, 0, order, contributions(), drop_above=True)
+    numerator = build_qseries(ring, 0, order, contributions())
     return numerator * inverse_pochhammer_series(ring, n, order)

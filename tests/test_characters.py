@@ -240,7 +240,7 @@ def theta_by_float_box(n, k, order):
         expo = Fraction(sum(x * x for x in a), 2) - Fraction(s * s, 2 * n)
         if expo <= cutoff:
             terms.append((expo, ring.monomial(tuple(2 * x for x in a))))
-    numerator = build_qseries(ring, delta, order, terms, drop_above=True)
+    numerator = build_qseries(ring, delta, order, terms)
     return numerator * inverse_pochhammer_series(ring, n - 1, order)
 
 

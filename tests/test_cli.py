@@ -39,6 +39,15 @@ def test_kostka_rank_below_length_is_usage_error(capsys, n):
     ("verify", "djkmo", "--order", "-1"),
     ("twisted", "verify", "--n", "0"),
     ("twisted", "verify", "--n", "1", "--order", "-1"),
+    ("schur", "--shape", "2,1", "--n", "0"),
+    ("verify", "rogers", "--N", "-1"),
+    ("verify", "polychronakos", "--n", "0"),
+    ("verify", "polychronakos", "--N", "-1"),
+    ("fiber", "--n", "0", "--h", ""),
+    ("spectrum", "--n", "0", "--N", "3"),
+    ("spectrum", "--n", "2", "--N", "-1"),
+    ("twisted", "schur", "--n", "0"),
+    ("twisted", "schur", "--n", "1", "--h", "1,0"),
 ])
 def test_level1_arguments_out_of_range_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)

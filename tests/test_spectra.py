@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -111,6 +112,24 @@ def test_fiber_example():
     prefixes = sorted(s.prefix for s in enumerate_fiber(h))
     assert prefixes == [(1, 1), (2, 1), (2, 2)]
     assert len(list(enumerate_fiber(SpectrumPoint((), 2)))) == 1
+
+
+def fiber_by_product(h):
+    """Every word of length |h| over 1..n whose configuration maps to h,
+    in lexicographic order."""
+    return [
+        word
+        for word in product(range(1, h.n + 1), repeat=h.size())
+        if h_map(SpinConfiguration(word, h.n)) == h
+    ]
+
+
+def test_fiber_order_matches_product_oracle():
+    # the CLI prints fibers in enumeration order, so the order is compared
+    for n in (1, 2, 3):
+        for h in all_points(6, n):
+            got = [s.prefix for s in enumerate_fiber(h)]
+            assert got == fiber_by_product(h), h
 
 
 def test_gap_condition_both_ways():

@@ -1,7 +1,10 @@
 import random
+from itertools import accumulate, product
+from operator import eq
 
 from ribbonchar.polyring import Ring
 from ribbonchar.shapes import BorderStrip
+from ribbonchar.tableaux import signed_alphabet
 from ribbonchar.twisted import (
     TwistedConfiguration,
     chi_twisted,
@@ -117,6 +120,35 @@ def test_three_way_character_equality():
             fib = chi_twisted(blocks, n, method="fiber")
             det = sL_determinant(blocks, n)
             assert tab == fib == det, (blocks, n)
+
+
+def twisted_fiber_by_product(blocks, n):
+    """Every word of the scan length m + n + 2 over the signed alphabet
+    whose local energies, followed by a 0, have ones exactly at the prefix
+    sums of the blocks, in the order of the alphabet."""
+    psums = set(accumulate(blocks))
+    length = sum(blocks) + n + 2
+    target = [1 if i in psums else 0 for i in range(1, length + 1)]
+    H = {(a, b): local_energy_twisted(a, b, n)
+         for a in signed_alphabet(n) for b in signed_alphabet(n)}
+    return [
+        word
+        for word in product(signed_alphabet(n), repeat=length)
+        if all(map(eq, map(H.get, zip(word, word[1:] + (0,))), target))
+    ]
+
+
+def test_twisted_fiber_order_matches_product_oracle():
+    block_lists = [
+        blocks
+        for r in range(5)
+        for blocks in product(range(1, 5), repeat=r)
+        if sum(blocks) <= 4
+    ]
+    for n in (1, 2):
+        for blocks in block_lists:
+            got = [s.prefix for s in enumerate_twisted_fiber(blocks, n)]
+            assert got == twisted_fiber_by_product(blocks, n), (blocks, n)
 
 
 def test_fiber_energy_matches_statistic():
