@@ -17,7 +17,7 @@ from .polyring import (
     inverse_pochhammer_series,
 )
 from .shapes import BorderStrip, Partition, partitions_of, t_statistic
-from .spectra import enumerate_Sp_N, excitation_energy, polychronakos_ground_energy
+from .spectra import Z_vertex, enumerate_Sp_N, polychronakos_ground_energy
 from .tableaux import count_LR, kostka_number
 from . import schur as _schur
 
@@ -291,17 +291,7 @@ def polychronakos_partition(N, n, relation=False):
 
 def polychronakos_strip_form(N, n, relation=False):
     """The same partition function as a strip sum over block lists."""
-    ring = Ring(n, relation)
-    e0 = polychronakos_ground_energy(N, n)
-    return build_qseries(
-        ring,
-        0,
-        e0,
-        (
-            (excitation_energy(blocks, n), _schur.schur_strip_cached(blocks, n, relation))
-            for blocks in enumerate_Sp_N(N, n)
-        ),
-    )
+    return Z_vertex(N, n, relation)
 
 
 class KostkaResult:

@@ -126,6 +126,8 @@ def cmd_schur(args):
 
 def cmd_spectrum(args):
     check_rank(args.n, args.N)
+    if args.sector is not None and not 0 <= args.sector < args.n:
+        raise UsageError(f"--sector must be in 0..{args.n - 1}, got {args.sector}")
     rows = []
     for blocks in sorted(spectra.enumerate_Sp_N(args.N, args.n)):
         point_sector = sum(blocks) % args.n

@@ -11,9 +11,9 @@ and are handled as plain block tuples.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate
 
-from .polyring import Ring, build_qseries
+from .polyring import QPoly, Ring, build_qseries
 from .shapes import BorderStrip, blocks_from_ones
 from .tableaux import STANDARD, Tableau, strip_cell_order
 from . import schur as _schur
@@ -340,19 +340,39 @@ def Z_vertex(N, n, relation=False):
 
 
 def Z_vertex_direct(N, n, relation=False):
-    """Same partition function summed configuration by configuration."""
+    """Same partition function summed configuration by configuration.
+
+    A transfer matrix over positions (the 1D configuration sum of
+    Date-Jimbo-Kuniba-Miwa-Okado): after position i the state maps each
+    letter a to the sum, over words w_1..w_i with w_i = a, of
+    q^(sum_{j<i} j*H(w_j, w_(j+1))) times the weight monomial of the word.
+    The last letter meets the tail letter 1 at position N, and the
+    sector-(N mod n) ground constant is subtracted.  Only the local energy
+    is read, never a strip or a tableau, so this stays independent of the
+    strip sum in ``Z_vertex``.  It costs N*n^2 Laurent operations instead
+    of n^N configurations.
+    """
     ring = Ring(n, relation)
     order = polychronakos_ground_energy(N, n)
     letters = range(1, n + 1)
+    x = {a: ring.gen(a) for a in letters}
+    total = ring.one()  # N = 0: the single empty configuration
+    if N:
+        state = x
+        for i in range(1, N):
+            state = {
+                b: sum(
+                    (state[a] * QPoly.term(i * local_energy(a, b)) for a in letters),
+                    ring.zero(),
+                )
+                * x[b]
+                for b in letters
+            }
+        total = sum(
+            (state[a] * QPoly.term(N * local_energy(a, 1)) for a in letters),
+            ring.zero(),
+        )
+    ground = sum(i * ground_energy_value(i, N % n, n) for i in range(1, N + 1))
     return build_qseries(
-        ring,
-        0,
-        order,
-        (
-            (
-                energy(SpinConfiguration(word, n)),
-                ring.monomial(tuple(2 * word.count(a) for a in letters)),
-            )
-            for word in product(letters, repeat=N)
-        ),
+        ring, 0, order, ((e - ground, value) for e, value in total.q_split().items())
     )

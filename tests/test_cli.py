@@ -48,12 +48,22 @@ def test_kostka_rank_below_length_is_usage_error(capsys, n):
     ("spectrum", "--n", "2", "--N", "-1"),
     ("twisted", "schur", "--n", "0"),
     ("twisted", "schur", "--n", "1", "--h", "1,0"),
+    ("spectrum", "--n", "2", "--N", "3", "--sector", "5"),
+    ("spectrum", "--n", "2", "--N", "3", "--sector", "-1"),
 ])
 def test_level1_arguments_out_of_range_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"]
+
+
+def test_verify_polychronakos_at_benchmark_size(capsys):
+    code, out, _ = run(capsys, "verify", "polychronakos", "--n", "3", "--N", "10")
+    assert code == 0
+    doc = json.loads(out)
+    assert [c["equal"] for c in doc["checks"]] == [True, True]
+    assert doc["equal"] is True
 
 
 def test_verify_rogers_trivial(capsys):

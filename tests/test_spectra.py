@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from ribbonchar.polyring import Ring, build_qseries
 from ribbonchar.schur import schur_enumerative
 from ribbonchar.shapes import BorderStrip, t_statistic
 from ribbonchar.spectra import (
@@ -270,21 +271,50 @@ def test_ground_energy_values():
     assert polychronakos_ground_energy(4, 3) == 5
 
 
+def z_by_configurations(N, n, relation=False):
+    """The partition function by brute force: every one of the n^N words,
+    scored by ``energy`` and weighed by its full letter content."""
+    ring = Ring(n, relation)
+    letters = range(1, n + 1)
+    return build_qseries(
+        ring,
+        0,
+        polychronakos_ground_energy(N, n),
+        (
+            (
+                energy(SpinConfiguration(word, n)),
+                ring.monomial(tuple(2 * word.count(a) for a in letters)),
+            )
+            for word in product(letters, repeat=N)
+        ),
+    )
+
+
+@pytest.mark.parametrize("relation", [False, True])
+def test_Z_vertex_direct_matches_configuration_oracle(relation):
+    for n, N_max in ((1, 8), (2, 10), (3, 6), (4, 5)):
+        for N in range(N_max + 1):
+            assert Z_vertex_direct(N, n, relation) == z_by_configurations(N, n, relation), (n, N)
+
+
 def test_Z_vertex_forms_agree():
-    for n in (2, 3):
-        for N in range(0, 5):
-            strips = Z_vertex(N, n)
-            direct = Z_vertex_direct(N, n)
-            eq, _ = strips.compare(direct)
-            assert eq
+    # the last two are the sizes of the benchmark's polychronakos checks
+    sizes = [(n, N) for n in (2, 3) for N in range(0, 5)] + [(2, 14), (3, 10)]
+    for n, N in sizes:
+        strips = Z_vertex(N, n)
+        direct = Z_vertex_direct(N, n)
+        eq, _ = strips.compare(direct)
+        assert eq, (n, N)
 
 
 def test_Z_dimension_count():
     # at q = 1 and x = 1 the truncation counts all n^N configurations
-    for n in (2, 3):
-        for N in range(0, 5):
-            series = Z_vertex(N, n)
-            total = 0
-            for c in series.coeffs:
-                total += c.at_x_ones().at(1)
-            assert total == n ** N
+    cases = [(Z_vertex, n, N) for n in (2, 3) for N in range(0, 5)]
+    cases += [(Z_vertex_direct, 2, N) for N in range(0, 13)]
+    cases += [(Z_vertex_direct, 3, N) for N in range(0, 5)]
+    for Z, n, N in cases:
+        series = Z(N, n)
+        total = 0
+        for c in series.coeffs:
+            total += c.at_x_ones().at(1)
+        assert total == n ** N, (Z.__name__, n, N)
