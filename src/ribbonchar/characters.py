@@ -10,7 +10,6 @@ from itertools import accumulate
 
 from .polyring import (
     QPoly,
-    QSeries,
     Ring,
     build_qseries,
     gaussian_multinomial,
@@ -215,10 +214,10 @@ def level1_decomposition(n, k, order, variant="a"):
         ),
     )
     if variant == "b":
-        # x -> 1/x is additive, so inverting each summed coefficient once
-        # equals summing the inverted strip Schur functions
-        series = QSeries(
-            ring, delta, [c.subs_x_inverse() for c in series.coeffs], order
+        # x -> 1/x is additive, so inverting the summed value once equals
+        # summing the inverted strip Schur functions
+        series = build_qseries(
+            ring, delta, order, [(delta, series.value.subs_x_inverse())]
         )
     return series
 
@@ -281,12 +280,7 @@ def polychronakos_partition(N, n, relation=False):
     ring = Ring(n, relation)
     e0 = polychronakos_ground_energy(N, n)
     flipped = rogers_szego(N, n).to_ring(ring).subs_q_inverse()
-    return build_qseries(
-        ring,
-        0,
-        e0,
-        ((e + e0, part) for e, part in flipped.q_split().items()),
-    )
+    return build_qseries(ring, 0, e0, [(e0, flipped)])
 
 
 def polychronakos_strip_form(N, n, relation=False):

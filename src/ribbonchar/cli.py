@@ -114,9 +114,11 @@ def cmd_schur(args):
     elif method == "jt":
         poly = schur.schur_jacobi_trudi(shape, args.n, args.relation)
     elif method == "strip":
-        poly = schur.schur_border_strip_det(
-            shapes.strip_from_skew(shape), args.n, args.relation
-        )
+        try:
+            strip = shapes.strip_from_skew(shape)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
+        poly = schur.schur_border_strip_det(strip, args.n, args.relation)
     else:
         raise UsageError(f"unknown method {method!r}")
     doc = {"shape": str(shape), "n": args.n, "method": method}
@@ -261,7 +263,7 @@ def cmd_verify(args):
         started = time.perf_counter()
         direct = spectra.Z_vertex_direct(args.N, args.n)
         checks.append(report("strip_sum_equals_configuration_sum", {"n": args.n, "N": args.N},
-                             spectra.Z_vertex(args.N, args.n), direct, started))
+                             rhs, direct, started))
     elif args.what == "all":
         return verify_all(args)
     else:

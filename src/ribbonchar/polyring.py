@@ -12,8 +12,9 @@ Representation
   ``x_1*...*x_n == 1`` is imposed.  Under the relation each monomial is
   reduced by subtracting multiples of (2,...,2) until its minimum doubled
   entry lies in {0, 1} (0 whenever all entries are even).
-* A ``QSeries`` is ``q**offset * sum(coeffs[j] * q**j)`` with a rational
-  offset, Laurent coefficients and an inclusive truncation order.
+* A ``QSeries`` is ``q**offset`` times one Laurent polynomial whose q
+  exponents all lie in 0..order, with a rational offset and an inclusive
+  truncation order.  Its per-exponent coefficients are derived on demand.
 
 Everything is immutable after construction and all integers are unbounded.
 """
@@ -134,9 +135,6 @@ class QPoly:
 
     def min_exp(self):
         return min(self.c) if self.c else None
-
-    def max_exp(self):
-        return max(self.c) if self.c else None
 
     def pairs(self):
         """Sorted (exponent, coefficient) pairs."""
@@ -411,22 +409,14 @@ class Laurent:
     def coeff(self, vec):
         return self.terms.get(self.ring.canon(vec), QPOLY_ZERO)
 
-    def constant_values(self):
-        """As a {vector: int} dict; requires all coefficients q-free."""
+    def truncated(self, order):
+        """Drop terms with q exponent above ``order``."""
         out = {}
         for v, c in self.terms.items():
-            if set(c.c) - {0}:
-                raise ValueError("polynomial has q-dependent coefficients")
-            out[v] = c.c[0]
-        return out
-
-    def q_split(self):
-        """Split by q-power: {q-exponent: Laurent with q-free coefficients}."""
-        out = {}
-        for v, c in self.terms.items():
-            for e, a in c.c.items():
-                out.setdefault(e, {})[v] = QPoly.const(a)
-        return {e: Laurent._raw(self.ring, t) for e, t in sorted(out.items())}
+            c = c.truncated(order)
+            if c:
+                out[v] = c
+        return Laurent._raw(self.ring, out)
 
     def subs_x_inverse(self):
         """Substitute every x_i -> 1/x_i."""
@@ -583,85 +573,66 @@ def determinant(matrix):
 
 
 class QSeries:
-    """Truncated q-series q**offset * sum_j coeffs[j] q**j."""
+    """Truncated q-series q**offset * value.
 
-    __slots__ = ("ring", "offset", "coeffs", "order")
+    ``value`` is one Laurent polynomial whose q exponents all lie in
+    0..order; series arithmetic is Laurent arithmetic followed by a cut at
+    the order.  ``build_qseries`` is the validated way to make one.
+    """
 
-    def __init__(self, ring, offset, coeffs, order):
+    __slots__ = ("ring", "offset", "value", "order")
+
+    def __init__(self, ring, offset, value, order):
         if order < 0:
             raise ValueError("truncation order must be >= 0")
-        if len(coeffs) != order + 1:
-            raise ValueError("need exactly order+1 coefficients")
-        for c in coeffs:
-            if c.ring != ring:
-                raise RingContextError("series coefficient in wrong context")
-            for qc in c.terms.values():
-                if set(qc.c) - {0}:
-                    raise ValueError("series coefficients must be q-free")
+        if value.ring != ring:
+            raise RingContextError("series value in wrong context")
         self.ring = ring
         self.offset = Fraction(offset)
-        self.coeffs = list(coeffs)
+        self.value = value
         self.order = order
 
-    @classmethod
-    def zero(cls, ring, offset, order):
-        return cls(ring, offset, [ring.zero()] * (order + 1), order)
+    @property
+    def coeffs(self):
+        """The q-free Laurent coefficient of each q**(offset + j), j = 0..order."""
+        out = [{} for _ in range(self.order + 1)]
+        for v, c in self.value.terms.items():
+            for e, a in c.c.items():
+                out[e][v] = QPoly.const(a)
+        return [Laurent._raw(self.ring, t) for t in out]
 
-    def reach(self):
-        return self.offset + self.order
-
-    def _aligned(self, other):
+    def __add__(self, other):
         if self.ring != other.ring:
             raise RingContextError("series in different contexts")
         d = other.offset - self.offset
         if d.denominator != 1:
             raise ValueError("series offsets differ by a non-integer")
-        return int(d)
-
-    def __add__(self, other):
-        d = self._aligned(other)
         lo, hi = (self, other) if d >= 0 else (other, self)
-        d = abs(d)
-        order = int(min(self.reach(), other.reach()) - lo.offset)
-        coeffs = []
-        for j in range(order + 1):
-            c = lo.coeffs[j]
-            if j - d >= 0:
-                c = c + hi.coeffs[j - d]
-            coeffs.append(c)
-        return QSeries(self.ring, lo.offset, coeffs, order)
+        d = abs(int(d))
+        order = min(lo.order, hi.order + d)
+        value = lo.value + (hi.value * QPoly.term(d) if d else hi.value)
+        return QSeries(self.ring, lo.offset, value.truncated(order), order)
 
     def __neg__(self):
-        return QSeries(self.ring, self.offset, [-c for c in self.coeffs], self.order)
+        return QSeries(self.ring, self.offset, -self.value, self.order)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, QPoly, Laurent)):
-            if isinstance(other, Laurent) and other.ring != self.ring:
-                raise RingContextError("scalar in wrong context")
-            return QSeries(
-                self.ring,
-                self.offset,
-                [c * other for c in self.coeffs],
-                self.order,
-            )
-        if not isinstance(other, QSeries):
+        if isinstance(other, QSeries):
+            if self.ring != other.ring:
+                raise RingContextError("series in different contexts")
+            order = min(self.order, other.order)
+            value = (self.value * other.value).truncated(order)
+            return QSeries(self.ring, self.offset + other.offset, value, order)
+        if not isinstance(other, (int, QPoly, Laurent)):
             return NotImplemented
-        if self.ring != other.ring:
-            raise RingContextError("series in different contexts")
-        order = min(self.order, other.order)
-        coeffs = [self.ring.zero() for _ in range(order + 1)]
-        for i in range(min(self.order, order) + 1):
-            a = self.coeffs[i]
-            if not a:
-                continue
-            for j in range(min(other.order, order - i) + 1):
-                b = other.coeffs[j]
-                if b:
-                    coeffs[i + j] = coeffs[i + j] + a * b
-        return QSeries(self.ring, self.offset + other.offset, coeffs, order)
+        scalars = other.terms.values() if isinstance(other, Laurent) else [other]
+        if any(isinstance(c, QPoly) and set(c.c) - {0} for c in scalars):
+            raise ValueError("series scalars must be q-free")
+        # a Laurent scalar in another ring raises in Laurent.__mul__
+        return QSeries(self.ring, self.offset, self.value * other, self.order)
 
     __rmul__ = __mul__
 
@@ -672,14 +643,16 @@ class QSeries:
             self.ring == other.ring
             and self.offset == other.offset
             and self.order == other.order
-            and all(a == b for a, b in zip(self.coeffs, other.coeffs))
+            and self.value == other.value
         )
 
     def compare(self, other):
         """(equal, first_mismatch) over the shared exact window.
 
         The two series must occupy the identical window; comparing series
-        with different windows is a usage error, not an inequality.
+        with different windows is a usage error, not an inequality.  The
+        first mismatch is the lowest q power of the difference, with the
+        two coefficients there.
         """
         if self.ring != other.ring:
             raise RingContextError("series in different contexts")
@@ -688,10 +661,11 @@ class QSeries:
                 f"window mismatch: ({self.offset}, {self.order}) vs "
                 f"({other.offset}, {other.order})"
             )
-        for j, (a, b) in enumerate(zip(self.coeffs, other.coeffs)):
-            if a != b:
-                return False, (self.offset + j, a, b)
-        return True, None
+        diff = self.value - other.value
+        if not diff:
+            return True, None
+        j = min(c.min_exp() for c in diff.terms.values())
+        return False, (self.offset + j, self.coeffs[j], other.coeffs[j])
 
     def __repr__(self):
         return (
@@ -711,19 +685,31 @@ class QSeries:
 def build_qseries(ring, offset, order, contributions):
     """Assemble a QSeries from (rational exponent, Laurent) contributions.
 
-    Exponents must sit in offset + Z_{>=0}, no higher than offset + order.
+    Exponents must sit in offset + Z_{>=0}, no higher than offset + order,
+    and so must every exponent a contribution's own q powers reach.  The
+    sum is accumulated in place, one ``{q exponent: int}`` dict per vector.
     """
     offset = Fraction(offset)
-    coeffs = [ring.zero() for _ in range(order + 1)]
+    acc = {}
     for expo, value in contributions:
+        if value.ring != ring:
+            raise RingContextError("series contribution in wrong context")
         j = Fraction(expo) - offset
-        if j.denominator != 1 or j < 0:
-            raise ValueError(f"exponent {expo} not in offset {offset} + Z>=0")
+        if j.denominator != 1 or not 0 <= j <= order:
+            raise ValueError(f"exponent {expo} not in offset {offset} + 0..{order}")
         j = int(j)
-        if j > order:
-            raise ValueError(f"exponent {expo} beyond window order {order}")
-        coeffs[j] = coeffs[j] + value
-    return QSeries(ring, offset, coeffs, order)
+        for v, c in value.terms.items():
+            slot = acc.get(v)
+            if slot is None:
+                slot = acc[v] = {}
+            for e, a in c.c.items():
+                e += j
+                if not 0 <= e <= order:
+                    raise ValueError(f"q power {offset + e} leaves the window")
+                slot[e] = slot.get(e, 0) + a
+    terms = {v: QPoly(slot) for v, slot in acc.items()}
+    value = Laurent._raw(ring, {v: c for v, c in terms.items() if c})
+    return QSeries(ring, offset, value, order)
 
 
 def qpoly_to_json(p):
@@ -768,13 +754,14 @@ def qseries_to_json(series):
 
 def qseries_from_json(doc):
     ring = Ring(int(doc["n"]), bool(doc["relation"]))
-    coeffs = [
-        ring.from_terms(
-            (tuple(term["x2"]), qpoly_from_json(term["q"])) for term in terms
-        )
+    offset = Fraction(doc["offset"])
+    coeffs = (
+        ring.from_terms((tuple(t["x2"]), qpoly_from_json(t["q"])) for t in terms)
         for terms in doc["coefficients"]
-    ]
-    return QSeries(ring, Fraction(doc["offset"]), coeffs, int(doc["order"]))
+    )
+    return build_qseries(
+        ring, offset, int(doc["order"]), ((offset + j, c) for j, c in enumerate(coeffs))
+    )
 
 
 def inverse_pochhammer_series(ring, power, order):
@@ -786,10 +773,6 @@ def inverse_pochhammer_series(ring, power, order):
             # multiply by 1/(1 - q^j) = 1 + q^j + q^{2j} + ...
             for d in range(j, order + 1):
                 coeffs[d] += coeffs[d - j]
-    one = (0,) * ring.n
     return QSeries(
-        ring,
-        0,
-        [ring.monomial(one, v) for v in coeffs],
-        order,
+        ring, 0, ring.monomial((0,) * ring.n, QPoly(dict(enumerate(coeffs)))), order
     )

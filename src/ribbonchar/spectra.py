@@ -373,6 +373,4 @@ def Z_vertex_direct(N, n, relation=False):
             ring.zero(),
         )
     ground = sum(i * ground_energy_value(i, N % n, n) for i in range(1, N + 1))
-    return build_qseries(
-        ring, 0, order, ((e - ground, value) for e, value in total.q_split().items())
-    )
+    return build_qseries(ring, 0, order, [(0, total * QPoly.term(-ground))])

@@ -221,18 +221,16 @@ def twisted_t_statistic(blocks):
 def twisted_strips(order):
     """All block lists with twisted statistic at most ``order``."""
     yield ()
-    stack = [((), 0)]
+    stack = [()]
     while stack:
-        blocks, _t = stack.pop()
-        s = len(blocks) + 1
+        blocks = stack.pop()
         m = 1
         while True:
             cand = blocks + (m,)
-            t = twisted_t_statistic(cand)
-            if t > order:
+            if twisted_t_statistic(cand) > order:
                 break
             yield cand
-            stack.append((cand, t))
+            stack.append(cand)
             m += 1
 
 

@@ -25,7 +25,6 @@ from ribbonchar.characters import (
 )
 from ribbonchar.polyring import (
     QPoly,
-    QSeries,
     Ring,
     build_qseries,
     inverse_pochhammer_series,
@@ -387,7 +386,7 @@ def test_branching_vacuum():
 def test_branching_consistency():
     n, k, order = 2, 1, 4
     dec = level1_decomposition(n, k, order)
-    acc = QSeries.zero(Ring(n, relation=True), dec.offset, order)
+    acc = build_qseries(Ring(n, relation=True), dec.offset, order, [])
     for m in range(1, 14, n):
         lam = Partition((m,))
         acc = acc + branching_function(k, lam, n, order) * schur_straight_cached(

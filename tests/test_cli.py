@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from ribbonchar import characters
 from ribbonchar.cli import main
+from ribbonchar.polyring import build_qseries, laurent_from_json
 
 
 def run(capsys, *argv):
@@ -50,6 +52,8 @@ def test_kostka_rank_below_length_is_usage_error(capsys, n):
     ("twisted", "schur", "--n", "1", "--h", "1,0"),
     ("spectrum", "--n", "2", "--N", "3", "--sector", "5"),
     ("spectrum", "--n", "2", "--N", "3", "--sector", "-1"),
+    ("schur", "--shape", "3,2,1", "--n", "3", "--method", "strip"),
+    ("schur", "--shape", "2,2", "--n", "2", "--method", "strip"),
 ])
 def test_level1_arguments_out_of_range_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -142,6 +146,30 @@ def test_verify_djkmo(capsys):
     doc = json.loads(out)
     assert all(c["equal"] for c in doc["checks"])
     assert all(c["window"] == ["1/4", 4] for c in doc["checks"])
+
+
+def test_verify_djkmo_reports_first_mismatch(capsys, monkeypatch):
+    # a theta with one extra monomial x_1 q^(offset + 2) must fail both
+    # checks there, and the report must show that monomial and nothing else
+    real_theta = characters.level1_theta
+
+    def faulty_theta(n, k, order):
+        theta = real_theta(n, k, order)
+        extra = [(theta.offset + 2, theta.ring.gen(1))]
+        return theta + build_qseries(theta.ring, theta.offset, order, extra)
+
+    monkeypatch.setattr(characters, "level1_theta", faulty_theta)
+    code, out, _ = run(capsys, "verify", "djkmo", "--n", "2", "--k", "1", "--order", "4")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["equal"] is False
+    assert len(doc["checks"]) == 2
+    for check in doc["checks"]:
+        assert check["equal"] is False
+        first = check["first_mismatch"]
+        assert first["exponent"] == "9/4"
+        lhs, rhs = laurent_from_json(first["lhs"]), laurent_from_json(first["rhs"])
+        assert rhs - lhs == lhs.ring.gen(1)
 
 
 def test_verify_all_quick(capsys):
