@@ -333,15 +333,13 @@ def kostka_foulkes(lam, n=None):
 
 
 def kostka_rhs(N, n):
-    """sum over n-part compositions of q^(sum k_i(k_i-1)/2) [N; k]_q x^k."""
-    ring = Ring(n, relation=False)
-    return ring.from_terms(
-        (
-            tuple(2 * k for k in comp),
-            _gm(N, comp).shifted(sum(k * (k - 1) // 2 for k in comp)),
-        )
+    """sum over n-part compositions of q^(sum k_i(k_i-1)/2) [N; k]_q x^k,
+    as its coefficients ``{doubled exponent vector: QPoly}``: each
+    composition k is the one monomial x^k."""
+    return {
+        tuple(2 * k for k in comp): _gm(N, comp).shifted(sum(k * (k - 1) // 2 for k in comp))
         for comp in _compositions(N, n)
-    )
+    }
 
 
 def kostka_oracle(lam, n=None):
@@ -363,7 +361,7 @@ def kostka_oracle(lam, n=None):
     extracted = {}
     for mu in shapes:
         vec = tuple(2 * mu.part(i) for i in range(1, n + 1))
-        val = rhs.coeff(vec)
+        val = rhs.get(vec, QPoly())
         for nu, knu in extracted.items():
             count = kostka_number(nu, mu)
             if count:

@@ -2,25 +2,72 @@
 
 Representation
 --------------
-* A coefficient is an integer Laurent polynomial in the single variable q,
-  stored as a ``{exponent: int}`` dict with no zero entries (class ``QPoly``).
-* A multivariate Laurent polynomial in x_1..x_n maps exponent tuples to
-  ``QPoly`` values (class ``Laurent``).  Exponent tuples are stored DOUBLED:
-  the entry ``2*e`` stands for ``x_i**e``, so half-integer exponents remain
-  exact integers.
-* A ``Ring`` context fixes the rank n and whether the relation
-  ``x_1*...*x_n == 1`` is imposed.  Under the relation each monomial is
-  reduced by subtracting multiples of (2,...,2) until its minimum doubled
-  entry lies in {0, 1} (0 whenever all entries are even).
+* ``QPoly`` is an integer Laurent polynomial in q alone, a ``{exponent: int}``
+  dict with no zero entries.  The q-only code (Kostka-Foulkes polynomials,
+  q-multinomials) computes with it, and ``Laurent`` takes and returns its
+  coefficients as ``QPoly`` values.
+* ``Laurent`` is an integer Laurent polynomial in x_1..x_n and q, stored as
+  ONE flat ``{key: int}`` dict with no zero entries: one packed integer key
+  per monomial x^(v/2) q^e.  Exponents of x are DOUBLED (v_i is twice the
+  exponent of x_i), so half-integer exponents stay integers.
+* ``Ring`` fixes the rank n, whether the relation ``x_1*...*x_n == 1`` is
+  imposed, and the packing of (v, e) into a key.  Under the relation the
+  printed representative of a monomial (``Ring.canon``) is v shifted by a
+  multiple of (2,...,2) until its minimum entry lies in {0, 1}.
 * A ``QSeries`` is ``q**offset`` times one Laurent polynomial whose q
   exponents all lie in 0..order, with a rational offset and an inclusive
   truncation order.  Its per-exponent coefficients are derived on demand.
+
+The packing.  Let B = 32, BIAS = 2**(B-1) and H = 2**(B-2).  A key is a
+nonnegative integer with base-2**B digits D_0, D_1, ...:
+
+    D_0 = e + BIAS                          the q exponent
+    no relation:  D_i = v_i + BIAS          for i = 1..n
+    relation:     D_i = v_i - v_n + BIAS    for i = 1..n-1
+                  D_n = v_n mod 2           the parity digit, unbiased
+
+Call d = D - BIAS the value of a biased digit.  A key is in range when
+every biased value lies in [-H, H); every stored key is in range.
+
+Injective.  In range every biased digit lies in [BIAS-H, BIAS+H), inside
+[0, 2**B), and the parity digit in {0, 1}, so the base-2**B expansion of the
+key gives back every digit, hence e and the digit values.  Without the
+relation these are e and v.  Under the relation a monomial is a class of v
+modulo Z*(2,...,2): v and w lie in one class iff w - v = t*(1,...,1) with t
+even, iff they have the same differences v_i - v_n and the same parity of
+v_n.  So the key determines the class, and unpacking it (``Ring._vector``,
+behind ``sorted_terms``) returns its representative with minimum entry in
+{0, 1}, which is ``Ring.canon``.
+
+Additive.  Let K be the key of x^0 q^0 (every biased digit BIAS, parity 0).
+For in-range keys k, k' the biased digits of k + k' - K are d + d' + BIAS,
+in [BIAS - 2H, BIAS + 2H - 2] = [0, 2**B - 2]: no digit carries into or
+borrows from its neighbour, so k + k' - K has the digits of the product
+monomial x^((v+v')/2) q^(e+e'), except that under the relation its parity
+digit is p + p' in {0, 1, 2}; masking the key below bit B*n + 1 reduces it
+mod 2.  So a product is a key addition, and a q shift by j is ``key + j``.
+
+Range.  The product key k + k' - K of in-range keys is exact, but its
+digit values may leave [-H, H), and one more addition could then carry.  So every product
+checks its result keys.  A biased digit is in range iff its two top bits
+are 01 or 10, i.e. iff bit B-1 of D ^ (D << 1) is set; K has exactly bit
+B-1 of each biased digit set, so all keys are in range iff the AND of
+k ^ (k << 1) over them keeps every bit of K.  A key out of range raises
+OverflowError, as does packing a digit out of range.  Every other new key
+is packed (``from_terms``), a q shift inside a ``build_qseries`` window
+(0 <= e <= order < H), or a q digit set to 0 (``QSeries.coeffs``), so no
+key ever wraps: an operation raises or is exact.
 
 Everything is immutable after construction and all integers are unbounded.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+
+DIGIT_BITS = 32
+_BIAS = 1 << (DIGIT_BITS - 1)
+_HALF = 1 << (DIGIT_BITS - 2)  # digit values lie in [-_HALF, _HALF)
+_DIGIT = (1 << DIGIT_BITS) - 1
 
 
 class RingContextError(ValueError):
@@ -114,6 +161,8 @@ class QPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k):
+        if not isinstance(k, int) or k < 0:
+            raise ValueError(f"exponent must be a nonnegative int, got {k!r}")
         out = QPOLY_ONE
         for _ in range(k):
             out = out * self
@@ -202,7 +251,6 @@ class QPoly:
         return out
 
 
-QPOLY_ZERO = QPoly._raw({})
 QPOLY_ONE = QPoly._raw({0: 1})
 
 
@@ -231,15 +279,21 @@ def gaussian_multinomial(N, parts):
 
 
 class Ring:
-    """Context for Laurent polynomials: rank n, optional x_1*...*x_n = 1."""
+    """Context for Laurent polynomials: rank n, optional x_1*...*x_n = 1,
+    and the packing of monomials into integer keys (module docstring)."""
 
-    __slots__ = ("n", "relation")
+    __slots__ = ("n", "relation", "_one", "_wrap")
 
     def __init__(self, n, relation=False):
         if n < 1:
             raise ValueError("rank must be positive")
         self.n = n
         self.relation = bool(relation)
+        # n + 1 biased digits without the relation, n (and the parity digit)
+        # with it; _one is the key K of x^0 q^0, _wrap masks the parity digit
+        biased = n if self.relation else n + 1
+        self._one = sum(_BIAS << (DIGIT_BITS * i) for i in range(biased))
+        self._wrap = (1 << (DIGIT_BITS * biased + self.relation)) - 1
 
     def __eq__(self, other):
         return (
@@ -266,21 +320,55 @@ class Ring:
             return tuple(e - shift for e in vec)
         return tuple(vec)
 
+    def pack(self, vec):
+        """The key of x^(vec/2) q^0; OverflowError if a digit is out of range."""
+        if len(vec) != self.n:
+            raise RingContextError(f"exponent vector length {len(vec)} != rank {self.n}")
+        if self.relation:
+            last = vec[-1]
+            key = last & 1
+            digits = [v - last for v in reversed(vec[:-1])]
+        else:
+            key = 0
+            digits = reversed(vec)
+        for d in digits:
+            if not -_HALF <= d < _HALF:
+                raise OverflowError(f"exponent {d} outside the packed range")
+            key = (key << DIGIT_BITS) + d + _BIAS
+        return (key << DIGIT_BITS) + _BIAS
+
+    def _vector(self, x):
+        """Canonical doubled vector of a key with its q digit shifted out."""
+        digits = []
+        for _ in range(self.n - self.relation):
+            digits.append((x & _DIGIT) - _BIAS)
+            x >>= DIGIT_BITS
+        if not self.relation:
+            return tuple(digits)
+        # x is the parity of v_n; v_n = t gives min entry m + t in {0, 1}
+        m = min([0, *digits])
+        t = (m + x) % 2 - m
+        return tuple(d + t for d in digits) + (t,)
+
+    def _checked(self, terms):
+        """``terms`` if every key is in range, else OverflowError."""
+        guard = self._one
+        acc = guard
+        for k in terms:
+            acc &= k ^ (k << 1)
+        if acc != guard:
+            raise OverflowError("exponent outside the packed range")
+        return terms
+
     def zero(self):
         return Laurent._raw(self, {})
 
     def one(self):
-        return Laurent._raw(self, {(0,) * self.n: QPOLY_ONE})
+        return Laurent._raw(self, {self._one: 1})
 
-    def monomial(self, vec, coeff=None):
-        """Monomial with doubled exponent vector ``vec``."""
-        if coeff is None:
-            coeff = QPOLY_ONE
-        elif isinstance(coeff, int):
-            coeff = QPoly.const(coeff)
-        if not coeff:
-            return self.zero()
-        return Laurent._raw(self, {self.canon(vec): coeff})
+    def monomial(self, vec, coeff=1):
+        """Monomial with doubled exponent vector ``vec`` times an int or QPoly."""
+        return self.from_terms([(vec, coeff)])
 
     def gen(self, i):
         """The variable x_i (1-indexed)."""
@@ -294,19 +382,23 @@ class Ring:
     def from_terms(self, terms):
         """Build from an iterable of (doubled vector, QPoly | int) pairs."""
         out = {}
+        get = out.get
+        pack = self.pack
         for vec, c in terms:
+            k = pack(vec)
             if isinstance(c, int):
-                c = QPoly.const(c)
-            if not c:
+                out[k] = get(k, 0) + c
                 continue
-            v = self.canon(vec)
-            acc = out.get(v)
-            out[v] = c if acc is None else acc + c
-        return Laurent._raw(self, {v: c for v, c in out.items() if c})
+            for e, a in c.c.items():
+                if not -_HALF <= e < _HALF:
+                    raise OverflowError(f"exponent {e} outside the packed range")
+                out[k + e] = get(k + e, 0) + a
+        return Laurent._raw(self, {k: c for k, c in out.items() if c})
 
 
 class Laurent:
-    """Multivariate Laurent polynomial with QPoly coefficients."""
+    """Multivariate Laurent polynomial in x and q: ``terms`` maps packed
+    monomial keys (see ``Ring``) to nonzero integers."""
 
     __slots__ = ("ring", "terms")
 
@@ -326,9 +418,7 @@ class Laurent:
 
     def __eq__(self, other):
         if isinstance(other, int):
-            if other == 0:
-                return not self.terms
-            return self.terms == {(0,) * self.ring.n: QPoly.const(other)}
+            return self.terms == ({self.ring._one: other} if other else {})
         if not isinstance(other, Laurent):
             return NotImplemented
         return self.ring == other.ring and self.terms == other.terms
@@ -338,19 +428,18 @@ class Laurent:
             other = self.ring.monomial((0,) * self.ring.n, other)
         self._check(other)
         out = dict(self.terms)
-        for v, c in other.terms.items():
-            acc = out.get(v)
-            w = c if acc is None else acc + c
+        for k, c in other.terms.items():
+            w = out.get(k, 0) + c
             if w:
-                out[v] = w
+                out[k] = w
             else:
-                del out[v]
+                del out[k]
         return Laurent._raw(self.ring, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Laurent._raw(self.ring, {v: -c for v, c in self.terms.items()})
+        return Laurent._raw(self.ring, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -361,120 +450,136 @@ class Laurent:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, QPoly)):
-            if isinstance(other, int):
-                other = QPoly.const(other)
+        if isinstance(other, int):
             if not other:
                 return self.ring.zero()
-            return Laurent._raw(
-                self.ring, {v: c * other for v, c in self.terms.items()}
-            )
-        if not isinstance(other, Laurent):
+            return Laurent._raw(self.ring, {k: c * other for k, c in self.terms.items()})
+        if isinstance(other, QPoly):
+            other = self.ring.monomial((0,) * self.ring.n, other)
+        elif not isinstance(other, Laurent):
             return NotImplemented
         self._check(other)
-        relation = self.ring.relation
-        out = {}
-        for v1, c1 in self.terms.items():
-            d1 = c1.c
-            for v2, c2 in other.terms.items():
-                v = tuple(a + b for a, b in zip(v1, v2))
-                if relation:
-                    m = min(v)
-                    shift = 2 * (m // 2)
-                    if shift:
-                        v = tuple(e - shift for e in v)
-                acc = out.get(v)
-                if acc is None:
-                    acc = out[v] = {}
-                for e1, a1 in d1.items():
-                    for e2, a2 in c2.c.items():
-                        e = e1 + e2
-                        w = acc.get(e, 0) + a1 * a2
-                        if w:
-                            acc[e] = w
-                        else:
-                            del acc[e]
-        return Laurent._raw(
-            self.ring, {v: QPoly._raw(d) for v, d in out.items() if d}
-        )
+        return Laurent._raw(self.ring, self._product(other))
 
     __rmul__ = __mul__
 
+    def _product(self, other, order=None):
+        """The terms of self * other, leaving out every pair of terms whose
+        q exponents sum above ``order`` when it is given."""
+        ring = self.ring
+        one, wrap = ring._one, ring._wrap
+        if order is None and len(other.terms) == 1:
+            # times a monomial, distinct keys stay distinct: nothing to sum
+            ((k2, c2),) = other.terms.items()
+            shift = k2 - one
+            return ring._checked(
+                {(k + shift) & wrap: c * c2 for k, c in self.terms.items()}
+            )
+        blocks = [(self.terms.items(), list(other.terms.items()))]
+        if order is not None:
+            lhs, rhs = _by_q(self.terms), _by_q(other.terms)
+            blocks = [
+                (a, b) for e, a in lhs.items() for f, b in rhs.items() if e + f <= order
+            ]
+        out = {}
+        get = out.get
+        for a, b in blocks:
+            for k1, c1 in a:
+                base = k1 - one
+                for k2, c2 in b:
+                    k = (base + k2) & wrap
+                    out[k] = get(k, 0) + c1 * c2
+        return ring._checked({k: c for k, c in out.items() if c})
+
     def __pow__(self, k):
+        if not isinstance(k, int) or k < 0:
+            raise ValueError(f"exponent must be a nonnegative int, got {k!r}")
         out = self.ring.one()
         for _ in range(k):
             out = out * self
         return out
 
+    def _by_vector(self):
+        """Unsorted (canonical doubled vector, QPoly) pairs."""
+        groups = {}
+        for k, c in self.terms.items():
+            x = k >> DIGIT_BITS
+            g = groups.get(x)
+            if g is None:
+                g = groups[x] = {}
+            g[(k & _DIGIT) - _BIAS] = c
+        vector = self.ring._vector
+        return [(vector(x), QPoly._raw(g)) for x, g in groups.items()]
+
     def coeff(self, vec):
-        return self.terms.get(self.ring.canon(vec), QPOLY_ZERO)
+        """The QPoly coefficient of x^(vec/2)."""
+        x = self.ring.pack(vec) >> DIGIT_BITS
+        return QPoly._raw({
+            (k & _DIGIT) - _BIAS: c
+            for k, c in self.terms.items() if k >> DIGIT_BITS == x
+        })
 
     def truncated(self, order):
         """Drop terms with q exponent above ``order``."""
-        out = {}
-        for v, c in self.terms.items():
-            c = c.truncated(order)
-            if c:
-                out[v] = c
-        return Laurent._raw(self.ring, out)
+        top = order + _BIAS
+        return Laurent._raw(
+            self.ring, {k: c for k, c in self.terms.items() if k & _DIGIT <= top}
+        )
 
     def subs_x_inverse(self):
-        """Substitute every x_i -> 1/x_i."""
-        out = {}
-        for v, c in self.terms.items():
-            w = self.ring.canon(tuple(-e for e in v))
-            acc = out.get(w)
-            out[w] = c if acc is None else acc + c
-        return Laurent._raw(self.ring, {v: c for v, c in out.items() if c})
+        """Substitute every x_i -> 1/x_i.
+
+        Every biased x digit D becomes 2*BIAS - D, and the q digit D_0 and
+        the parity part P (the digit above the biased ones, times its place
+        value) stay: k -> 2K - k + 2*(D_0 - BIAS) + 2*P.  The new digits lie
+        in (BIAS - H, BIAS + H], so nothing borrows, and the range check
+        catches a digit value of H.
+        """
+        ring = self.ring
+        top = ring._wrap.bit_length() - ring.relation  # place of the parity digit
+        two_one = 2 * ring._one
+        return Laurent._raw(ring, ring._checked({
+            two_one - k + 2 * ((k & _DIGIT) - _BIAS) + 2 * (k >> top << top): c
+            for k, c in self.terms.items()
+        }))
 
     def subs_q_inverse(self):
-        """Substitute q -> 1/q in every coefficient."""
-        return Laurent._raw(
-            self.ring, {v: c.reversed_q() for v, c in self.terms.items()}
-        )
+        """Substitute q -> 1/q in every coefficient: D_0 - BIAS changes sign."""
+        return Laurent._raw(self.ring, self.ring._checked(
+            {k - 2 * ((k & _DIGIT) - _BIAS): c for k, c in self.terms.items()}
+        ))
 
     def permuted(self, perm):
         """Apply x_i -> x_{perm[i-1]} (perm is a 1-indexed image list)."""
-        out = {}
-        for v, c in self.terms.items():
+        def image(v):
             w = [0] * self.ring.n
             for i, e in enumerate(v):
                 w[perm[i] - 1] = e
-            w = self.ring.canon(tuple(w))
-            acc = out.get(w)
-            out[w] = c if acc is None else acc + c
-        return Laurent._raw(self.ring, {v: c for v, c in out.items() if c})
+            return tuple(w)
+
+        return self.ring.from_terms((image(v), c) for v, c in self._by_vector())
 
     def at_x_ones(self):
         """Evaluate every x_i at 1, leaving a QPoly."""
-        out = QPOLY_ZERO
-        for c in self.terms.values():
-            out = out + c
-        return out
+        out = {}
+        for k, c in self.terms.items():
+            e = (k & _DIGIT) - _BIAS
+            out[e] = out.get(e, 0) + c
+        return QPoly(out)
 
     def at_q_one(self):
         """Evaluate q at 1, leaving integer coefficients."""
-        return Laurent._raw(
-            self.ring,
-            {
-                v: QPoly.const(c.at(1))
-                for v, c in self.terms.items()
-                if c.at(1)
-            },
-        )
+        return self.ring.from_terms((v, c.at(1)) for v, c in self._by_vector())
 
     def to_ring(self, ring):
         """Recanonicalize into another ring of the same rank."""
         if ring.n != self.ring.n:
             raise RingContextError("cannot change rank")
-        return ring.from_terms(self.terms.items())
+        return ring.from_terms(self._by_vector())
 
     def sorted_terms(self):
         """Deterministic (vector, QPoly) list: lexicographic on vectors."""
-        return sorted(self.terms.items())
-
-    def max_vec(self):
-        return max(self.terms) if self.terms else None
+        return sorted(self._by_vector())
 
     def __repr__(self):
         return f"Laurent({self.ring!r}, {len(self.terms)} terms)"
@@ -497,6 +602,14 @@ class Laurent:
             else:
                 bits.append(f"{cs}*{mono}")
         return " + ".join(bits)
+
+
+def _by_q(terms):
+    """{q exponent: [(key, coefficient), ...]} of a packed term dict."""
+    out = {}
+    for k, c in terms.items():
+        out.setdefault((k & _DIGIT) - _BIAS, []).append((k, c))
+    return out
 
 
 def monomial_str(vec):
@@ -534,7 +647,8 @@ def determinant(matrix):
     """Exact determinant of a square Laurent matrix.
 
     Expansion along the first remaining row with memoization on the active
-    column set, so repeated minors are computed once.
+    column set, so repeated minors are computed once.  Each row sum is
+    accumulated in place into one term dict.
     """
     r = len(matrix)
     if r == 0:
@@ -557,16 +671,17 @@ def determinant(matrix):
         if got is not None:
             return got
         row = matrix[i]
-        out = ring.zero()
+        acc = {}
+        get = acc.get
         sign = 1
         for idx, j in enumerate(cols):
             entry = row[j]
             if entry:
                 sub = cols[:idx] + cols[idx + 1 :]
-                term = entry * minor(i + 1, sub)
-                out = out + (term if sign > 0 else -term)
+                for k, c in (entry * minor(i + 1, sub)).terms.items():
+                    acc[k] = get(k, 0) + sign * c
             sign = -sign
-        memo[key] = out
+        out = memo[key] = Laurent._raw(ring, {k: c for k, c in acc.items() if c})
         return out
 
     return minor(0, tuple(range(r)))
@@ -596,9 +711,9 @@ class QSeries:
     def coeffs(self):
         """The q-free Laurent coefficient of each q**(offset + j), j = 0..order."""
         out = [{} for _ in range(self.order + 1)]
-        for v, c in self.value.terms.items():
-            for e, a in c.c.items():
-                out[e][v] = QPoly.const(a)
+        for k, c in self.value.terms.items():
+            e = (k & _DIGIT) - _BIAS
+            out[e][k - e] = c
         return [Laurent._raw(self.ring, t) for t in out]
 
     def __add__(self, other):
@@ -624,13 +739,15 @@ class QSeries:
             if self.ring != other.ring:
                 raise RingContextError("series in different contexts")
             order = min(self.order, other.order)
-            value = (self.value * other.value).truncated(order)
+            value = Laurent._raw(self.ring, self.value._product(other.value, order))
             return QSeries(self.ring, self.offset + other.offset, value, order)
-        if not isinstance(other, (int, QPoly, Laurent)):
+        if isinstance(other, QPoly):
+            other = self.ring.monomial((0,) * self.ring.n, other)
+        if isinstance(other, Laurent):
+            if any(k & _DIGIT != _BIAS for k in other.terms):
+                raise ValueError("series scalars must be q-free")
+        elif not isinstance(other, int):
             return NotImplemented
-        scalars = other.terms.values() if isinstance(other, Laurent) else [other]
-        if any(isinstance(c, QPoly) and set(c.c) - {0} for c in scalars):
-            raise ValueError("series scalars must be q-free")
         # a Laurent scalar in another ring raises in Laurent.__mul__
         return QSeries(self.ring, self.offset, self.value * other, self.order)
 
@@ -664,7 +781,7 @@ class QSeries:
         diff = self.value - other.value
         if not diff:
             return True, None
-        j = min(c.min_exp() for c in diff.terms.values())
+        j = min(k & _DIGIT for k in diff.terms) - _BIAS
         return False, (self.offset + j, self.coeffs[j], other.coeffs[j])
 
     def __repr__(self):
@@ -687,10 +804,15 @@ def build_qseries(ring, offset, order, contributions):
 
     Exponents must sit in offset + Z_{>=0}, no higher than offset + order,
     and so must every exponent a contribution's own q powers reach.  The
-    sum is accumulated in place, one ``{q exponent: int}`` dict per vector.
+    sum is accumulated in place into one term dict; a contribution at
+    offset + j adds j to each of its keys.
     """
+    if order >= _HALF:
+        raise OverflowError(f"order {order} outside the packed range")
     offset = Fraction(offset)
     acc = {}
+    get = acc.get
+    digit = _DIGIT
     for expo, value in contributions:
         if value.ring != ring:
             raise RingContextError("series contribution in wrong context")
@@ -698,17 +820,15 @@ def build_qseries(ring, offset, order, contributions):
         if j.denominator != 1 or not 0 <= j <= order:
             raise ValueError(f"exponent {expo} not in offset {offset} + 0..{order}")
         j = int(j)
-        for v, c in value.terms.items():
-            slot = acc.get(v)
-            if slot is None:
-                slot = acc[v] = {}
-            for e, a in c.c.items():
-                e += j
-                if not 0 <= e <= order:
-                    raise ValueError(f"q power {offset + e} leaves the window")
-                slot[e] = slot.get(e, 0) + a
-    terms = {v: QPoly(slot) for v, slot in acc.items()}
-    value = Laurent._raw(ring, {v: c for v, c in terms.items() if c})
+        # q digit + j must stay in 0..order, so the digit itself in lo..hi
+        lo, hi = _BIAS - j, _BIAS + order - j
+        for k, c in value.terms.items():
+            if not lo <= k & digit <= hi:
+                e = (k & digit) - lo
+                raise ValueError(f"q power {offset + e} leaves the window")
+            k += j
+            acc[k] = get(k, 0) + c
+    value = Laurent._raw(ring, {k: c for k, c in acc.items() if c})
     return QSeries(ring, offset, value, order)
 
 

@@ -151,11 +151,10 @@ def lr_expand(shape, n, method="auto"):
     rest = schur_enumerative(shape, n, relation=False)
     out = {}
     while rest:
-        vec = rest.max_vec()
+        vec, c = rest.sorted_terms()[-1]
         if any(e % 2 for e in vec):
             raise AssertionError("odd doubled exponent in a standard weight")
         nu = Partition(e // 2 for e in vec)
-        c = rest.coeff(vec)
         cval = c.c.get(0)
         if set(c.c) - {0} or not cval or cval < 0:
             raise AssertionError(f"bad leading coefficient {c}")

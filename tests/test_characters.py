@@ -37,7 +37,7 @@ from ribbonchar.spectra import Z_vertex_direct
 
 def q_truncated(poly, order):
     return poly.ring.from_terms(
-        (v, c.truncated(order)) for v, c in poly.terms.items()
+        (v, c.truncated(order)) for v, c in poly.sorted_terms()
     )
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ribbonchar.polyring import (
+    DIGIT_BITS,
     QPoly,
     Ring,
     RingContextError,
@@ -362,7 +363,165 @@ def test_laurent_ring_axioms_and_canonical_form(triple):
     assert a - a == a.ring.zero() and a * a.ring.one() == a
     if a.ring.relation:
         for value in (a, a * b, a + c):
-            assert all(min(vec) in (0, 1) for vec in value.terms)
+            assert all(min(vec) in (0, 1) for vec, _c in value.sorted_terms())
     else:
         reduced = Ring(a.ring.n, relation=True)
         assert (a * b).to_ring(reduced) == a.to_ring(reduced) * b.to_ring(reduced)
+
+
+def test_negative_and_non_int_powers_raise():
+    ring = Ring(2)
+    x = ring.gen(1)
+    q = QPoly.term(1)
+    assert x ** 0 == ring.one() and x ** 3 == x * x * x
+    assert q ** 0 == QPoly.const(1) and q ** 3 == QPoly.term(3)
+    for k in (-1, -3, 1.0, Fraction(1, 2), "2"):
+        with pytest.raises(ValueError):
+            x ** k
+        with pytest.raises(ValueError):
+            q ** k
+
+
+# -- the packed keys ---------------------------------------------------------
+
+HALF = 2 ** (DIGIT_BITS - 2)  # packed digit values lie in [-HALF, HALF)
+
+
+def doubled_entries(bound):
+    """Doubled exponents: small ones of both parities, and large ones up to
+    ``bound`` in size."""
+    return st.one_of(st.integers(-5, 5), st.integers(-bound, bound - 1))
+
+
+@st.composite
+def packing_cases(draw):
+    """A ring, two vectors and two q exponents whose sums stay in range:
+    entries of size below HALF/4, so that differences under the relation
+    and sums of two are below HALF."""
+    ring = Ring(draw(st.integers(1, 5)), draw(st.booleans()))
+    vec = st.tuples(*[doubled_entries(HALF // 4)] * ring.n)
+    q = st.one_of(st.integers(-5, 5), st.integers(-HALF // 2, HALF // 2 - 1))
+    return ring, draw(vec), draw(q), draw(vec), draw(q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(packing_cases())
+def test_packing_round_trip_and_additivity(case):
+    ring, v, e, w, f = case
+    # packing then unpacking gives the canonical vector and the q exponent
+    monomial = ring.monomial(v, QPoly.term(e, 2))
+    assert monomial.sorted_terms() == [(ring.canon(v), QPoly.term(e, 2))]
+    assert ring.pack(ring.canon(v)) == ring.pack(v)
+    assert monomial == ring.monomial(ring.canon(v), QPoly.term(e, 2))
+    # a product of monomials is the monomial of the summed exponents
+    total = tuple(a + b for a, b in zip(v, w))
+    product = ring.monomial(v, QPoly.term(e)) * ring.monomial(w, QPoly.term(f, 3))
+    assert product == ring.monomial(total, QPoly.term(e + f, 3))
+    assert product.sorted_terms() == [(ring.canon(total), QPoly.term(e + f, 3))]
+    assert product.coeff(total) == QPoly.term(e + f, 3)
+    assert not product.coeff(total[:-1] + (total[-1] + 1,))
+
+
+def test_out_of_range_exponents_raise_or_come_out_exact():
+    for relation in (False, True):
+        ring = Ring(2, relation)
+        # given directly: x_1 past the digit width, and q past it
+        for vec, e in (((HALF, 0), 0), ((-HALF - 1, 0), 0), ((0, 0), HALF),
+                       ((0, 0), -HALF - 1), ((2 ** 70, 0), 0)):
+            with pytest.raises(OverflowError):
+                ring.monomial(vec, QPoly.term(e))
+            with pytest.raises(OverflowError):
+                ring.from_terms([(vec, QPoly.term(e))])
+        # reached through a product: exact while in range, never wrapped
+        for a in (HALF - 2, HALF - 1, -HALF, -HALF + 1):
+            for b in (-2, -1, 1, 2):
+                lhs, rhs = ring.monomial((a, 0)), ring.monomial((b, 0))
+                qa, qb = ring.monomial((0, 0), QPoly.term(a)), QPoly.term(b)
+                if -HALF <= a + b < HALF:
+                    assert (lhs * rhs).sorted_terms() == [(ring.canon((a + b, 0)), QPoly.const(1))]
+                    assert (qa * qb).sorted_terms() == [((0, 0), QPoly.term(a + b))]
+                else:
+                    with pytest.raises(OverflowError):
+                        lhs * rhs
+                    with pytest.raises(OverflowError):
+                        qa * qb
+        # inverting maps the digit value -HALF to HALF, past the width
+        with pytest.raises(OverflowError):
+            ring.monomial((-HALF, 0)).subs_x_inverse()
+        with pytest.raises(OverflowError):
+            ring.monomial((0, 0), QPoly.term(-HALF)).subs_q_inverse()
+        assert ring.monomial((1 - HALF, 0)).subs_x_inverse() == ring.monomial((HALF - 1, 0))
+        # repeated squaring walks x_1 past the width
+        big = ring.monomial((2 ** (DIGIT_BITS - 4), 0))
+        square = big * big
+        assert square.sorted_terms() == [(ring.canon((2 ** (DIGIT_BITS - 3), 0)), QPoly.const(1))]
+        with pytest.raises(OverflowError):
+            square * square
+    # a q-series window reaching past the q digit
+    with pytest.raises(OverflowError):
+        build_qseries(Ring(1), 0, HALF, [])
+
+
+# -- the tuple-keyed Laurent arithmetic, kept as an oracle -------------------
+#
+# Before the packed keys a Laurent was {canonical doubled vector: QPoly}; these
+# are its sum and product, on that layout.
+
+
+def ref_laurent_add(a, b):
+    out = dict(a)
+    for v, c in b.items():
+        acc = out.get(v)
+        w = c if acc is None else acc + c
+        if w:
+            out[v] = w
+        else:
+            del out[v]
+    return out
+
+
+def ref_laurent_mul(a, b, relation):
+    out = {}
+    for v1, c1 in a.items():
+        for v2, c2 in b.items():
+            v = tuple(x + y for x, y in zip(v1, v2))
+            if relation:
+                shift = 2 * (min(v) // 2)
+                if shift:
+                    v = tuple(e - shift for e in v)
+            acc = out.get(v)
+            w = c1 * c2 if acc is None else acc + c1 * c2
+            if w:
+                out[v] = w
+            else:
+                del out[v]
+    return out
+
+
+def as_tuple_terms(poly):
+    return dict(poly.sorted_terms())
+
+
+@settings(max_examples=80, deadline=None)
+@given(rings.flatmap(lambda ring: st.tuples(*[laurents(ring, st.integers(-3, 3))] * 2)))
+def test_laurent_matches_tuple_keyed_reference(pair):
+    a, b = pair
+    ta, tb = as_tuple_terms(a), as_tuple_terms(b)
+    assert as_tuple_terms(a + b) == ref_laurent_add(ta, tb)
+    assert as_tuple_terms(a - b) == ref_laurent_add(ta, {v: -c for v, c in tb.items()})
+    product = ref_laurent_mul(ta, tb, a.ring.relation)
+    assert as_tuple_terms(a * b) == product
+    assert (a * b).sorted_terms() == sorted(product.items())
+    # compared as Laurents too: equal keys, not only equal unpacked terms
+    assert a * b == a.ring.from_terms(product.items())
+    inverted = {a.ring.canon(tuple(-e for e in v)): c for v, c in ta.items()}
+    assert as_tuple_terms(a.subs_x_inverse()) == inverted
+    assert a.subs_x_inverse() == a.ring.from_terms(inverted.items())
+    reversed_q = {v: c.reversed_q() for v, c in ta.items()}
+    assert as_tuple_terms(a.subs_q_inverse()) == reversed_q
+    assert a.subs_q_inverse() == a.ring.from_terms(reversed_q.items())
+    # times a monomial (the one-to-one path), on either side
+    for v in list(tb)[:1]:
+        m = a.ring.monomial(v, QPoly.term(1, -2))
+        ref = ref_laurent_mul(ta, as_tuple_terms(m), a.ring.relation)
+        assert a * m == m * a == a.ring.from_terms(ref.items())

@@ -1,5 +1,8 @@
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from ribbonchar.polyring import Ring
 from ribbonchar.schur import (
     lr_expand,
@@ -209,3 +212,14 @@ def test_lr_expand_routes_agree_on_strips():
         cols = tuple(rng.randint(1, n) for _ in range(rng.randint(1, 4)))
         sd = BorderStrip(cols).realize()
         assert lr_expand(sd, n, method="strips") == lr_expand(sd, n, method="extract")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(1, n), max_size=5), st.booleans())))
+def test_strip_routes_agree_random(case):
+    n, blocks, relation = case
+    bs = BorderStrip(blocks)
+    cached = schur_strip_cached(blocks, n, relation)
+    assert cached == schur_border_strip_det(bs, n, relation)
+    assert cached == schur_jacobi_trudi(bs.realize(), n, relation)
