@@ -31,6 +31,7 @@ from .tableaux import (
     enumerate_L_admissible,
     enumerate_admissible,
     enumerate_sst,
+    filling_weights,
     gz_from_sst,
     is_lattice_permutation,
     kostka_number,

@@ -643,6 +643,19 @@ def elementary_symmetric(m, variables):
     return e[m]
 
 
+def laurent_sum(ring, values):
+    """Sum of Laurent values of one ring, accumulated in place into one term
+    dict instead of copying a running total on every addition."""
+    acc = {}
+    get = acc.get
+    for value in values:
+        if value.ring != ring:
+            raise RingContextError(f"mixed contexts {ring} and {value.ring}")
+        for k, c in value.terms.items():
+            acc[k] = get(k, 0) + c
+    return Laurent._raw(ring, {k: c for k, c in acc.items() if c})
+
+
 def determinant(matrix):
     """Exact determinant of a square Laurent matrix.
 
@@ -810,16 +823,19 @@ def build_qseries(ring, offset, order, contributions):
     if order >= _HALF:
         raise OverflowError(f"order {order} outside the packed range")
     offset = Fraction(offset)
+    # j = expo - offset = (a*od - on*b) / (b*od) for expo = a/b, in integers
+    on, od = offset.numerator, offset.denominator
     acc = {}
     get = acc.get
     digit = _DIGIT
     for expo, value in contributions:
         if value.ring != ring:
             raise RingContextError("series contribution in wrong context")
-        j = Fraction(expo) - offset
-        if j.denominator != 1 or not 0 <= j <= order:
+        e = expo if isinstance(expo, (int, Fraction)) else Fraction(expo)
+        b = e.denominator
+        j, rest = divmod(e.numerator * od - on * b, b * od)
+        if rest or not 0 <= j <= order:
             raise ValueError(f"exponent {expo} not in offset {offset} + 0..{order}")
-        j = int(j)
         # q digit + j must stay in 0..order, so the digit itself in lo..hi
         lo, hi = _BIAS - j, _BIAS + order - j
         for k, c in value.terms.items():

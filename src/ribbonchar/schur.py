@@ -7,7 +7,7 @@ from itertools import accumulate
 
 from .polyring import Ring, determinant, elementary_symmetric
 from .shapes import Partition, SkewDiagram, is_border_strip, partitions_of, strip_from_skew
-from .tableaux import enumerate_sst, tableau_weight
+from .tableaux import STANDARD, filling_weights
 
 
 _E_CACHE = {}
@@ -27,7 +27,7 @@ def e_m(ring, m):
 def schur_enumerative(shape, n, relation=False):
     """Sum of weight monomials over all semi-standard fillings."""
     ring = Ring(n, relation)
-    return ring.from_terms((tableau_weight(t), 1) for t in enumerate_sst(shape, n))
+    return ring.from_terms(filling_weights(shape, n, STANDARD).items())
 
 
 def schur_jacobi_trudi(shape, n, relation=False):
@@ -119,7 +119,8 @@ def schur_conjugate(shape, n):
     ]
     det = determinant(matrix)
     inv = ring.from_terms(
-        (tuple(-e for e in tableau_weight(t)), 1) for t in enumerate_sst(shape, n)
+        (tuple(-e for e in vec), c)
+        for vec, c in filling_weights(shape, n, STANDARD).items()
     )
     if det != inv:
         raise AssertionError(f"conjugate determinant disagrees with sum for {shape}")

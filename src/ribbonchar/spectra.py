@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate
 
-from .polyring import QPoly, Ring, build_qseries
+from .polyring import QPoly, Ring, build_qseries, laurent_sum
 from .shapes import BorderStrip, blocks_from_ones
 from .tableaux import STANDARD, Tableau, strip_cell_order
 from . import schur as _schur
@@ -349,8 +349,8 @@ def Z_vertex_direct(N, n, relation=False):
     The last letter meets the tail letter 1 at position N, and the
     sector-(N mod n) ground constant is subtracted.  Only the local energy
     is read, never a strip or a tableau, so this stays independent of the
-    strip sum in ``Z_vertex``.  It costs N*n^2 Laurent operations instead
-    of n^N configurations.
+    strip sum in ``Z_vertex``.  It costs 2*N*n Laurent products and N*n
+    in-place sums of n values instead of n^N configurations.
     """
     ring = Ring(n, relation)
     order = polychronakos_ground_energy(N, n)
@@ -360,17 +360,18 @@ def Z_vertex_direct(N, n, relation=False):
     if N:
         state = x
         for i in range(1, N):
+            # H is 0 or 1, so each state[a] is raised by q^i once per step
+            raised = {a: state[a] * QPoly.term(i) for a in letters}
             state = {
-                b: sum(
-                    (state[a] * QPoly.term(i * local_energy(a, b)) for a in letters),
-                    ring.zero(),
+                b: laurent_sum(
+                    ring,
+                    (raised[a] if local_energy(a, b) else state[a] for a in letters),
                 )
                 * x[b]
                 for b in letters
             }
-        total = sum(
-            (state[a] * QPoly.term(N * local_energy(a, 1)) for a in letters),
-            ring.zero(),
+        total = laurent_sum(
+            ring, (state[a] * QPoly.term(N * local_energy(a, 1)) for a in letters)
         )
     ground = sum(i * ground_energy_value(i, N % n, n) for i in range(1, N + 1))
     return build_qseries(ring, 0, order, [(0, total * QPoly.term(-ground))])

@@ -6,10 +6,15 @@ and rows weakly increasing to the right.  Signed fillings use the ordered
 alphabet 1 < ... < n < 0 < -n < ... < -1 with the same shape of rules except
 that a vertical (0,0) pair is allowed and a horizontal (0,0) pair is not.
 Enumeration is a lazy cell-by-cell backtracking in row-major order, so both
-neighbours of a cell are already placed when it is tried.  The two counts,
-lattice fillings of a border strip (``count_LR``) and Kostka numbers
-(``kostka_number``), build no tableau: each is an exact integer dynamic
-programme with a memo that lives only for the call.
+neighbours of a cell are already placed when it is tried; it yields one
+``Tableau`` per filling, for the bijections and as the test oracle.  Three
+routes build no tableau.  ``filling_weights`` runs the same backtracking
+over letter ranks, with the letters allowed under each (above, left) pair
+tabulated once per call, and counts the weight vectors of the fillings; the
+Schur and twisted characters are read off it.  The two counts, lattice
+fillings of a border strip (``count_LR``) and Kostka numbers
+(``kostka_number``), are exact integer dynamic programmes with a memo that
+lives only for the call.
 """
 from __future__ import annotations
 
@@ -165,9 +170,9 @@ def enumerate_admissible(shape, n):
     return _enumerate(shape, n, SIGNED)
 
 
-def enumerate_L_admissible(bs, n):
-    """Admissible fillings of a strip whose last column (length 2n) has its
-    bottom n cells pinned to -n, -n+1, ..., -1 with half weight."""
+def _pinned_strip(bs, n):
+    """(shape, pinned) of a strip whose last column, the leftmost column of
+    its shape, has length 2n and its bottom n cells pinned to -n..-1."""
     if not bs.columns or bs.columns[-1] != 2 * n:
         raise ValueError(f"last column of {bs} must have length {2 * n}")
     shape = bs.realize()
@@ -177,11 +182,93 @@ def enumerate_L_admissible(bs, n):
     bottom = lamc.part(1)
     if bottom - top + 1 != 2 * n:
         raise AssertionError("leftmost column length disagrees with strip data")
-    pinned = {
-        (top + n + i, 1): -n + i
-        for i in range(n)
-    }
+    return shape, {(top + n + i, 1): -n + i for i in range(n)}
+
+
+def enumerate_L_admissible(bs, n):
+    """Admissible fillings of a strip whose last column (length 2n) has its
+    bottom n cells pinned to -n, -n+1, ..., -1 with half weight."""
+    shape, pinned = _pinned_strip(bs, n)
     return _enumerate(shape, n, SIGNED, pinned=pinned)
+
+
+def filling_weights(shape, n, alphabet, pinned=None):
+    """Counter {``tableau_weight`` vector: number of fillings} over the
+    fillings of ``shape`` that the enumerators yield: ``enumerate_sst`` or
+    ``enumerate_admissible`` without pins, and with them the fillings whose
+    ``pinned`` cells hold their letters at half weight, as in
+    ``enumerate_L_admissible``.  A pin outside the alphabet raises
+    ``ValueError``; an impossible pin gives an empty Counter.
+
+    The same row-major backtracking, without a ``Tableau`` per filling.
+    Letters are held as ranks in the alphabet order.  Each cell knows the
+    index of its above and left cells (a missing neighbour reads the extra
+    rank m), and the letters allowed under each (above, left) pair of ranks
+    are tabulated once from the pair rules.  One weight vector is updated
+    and restored letter by letter and counted at each complete filling.
+    """
+    if alphabet == STANDARD:
+        letters = list(range(1, n + 1))
+        vertical, horizontal = _pair_ok_standard(n)
+    else:
+        letters = signed_alphabet(n)
+        vertical, horizontal = _pair_ok_signed(n)
+    pinned = pinned or {}
+    m = len(letters)
+    rank = {a: r for r, a in enumerate(letters)}
+    # (slot, doubled step) of each rank, and the half steps of pinned cells;
+    # a signed 0 steps slot 0 by nothing
+    steps = [(abs(a) - 1, 2 if a > 0 else -2) if a else (0, 0) for a in letters]
+    half_steps = [(slot, step // 2) for slot, step in steps]
+    allowed = [
+        [
+            [
+                b
+                for b in range(m)
+                if (up == m or vertical(letters[up], letters[b]))
+                and (left == m or horizontal(letters[left], letters[b]))
+            ]
+            for left in range(m + 1)
+        ]
+        for up in range(m + 1)
+    ]
+    cells = shape.cells()
+    ncells = len(cells)
+    index = {cell: i for i, cell in enumerate(cells)}
+    plan = []  # per cell: above index, left index, pinned rank or None, steps
+    for r, c in cells:
+        pin = pinned.get((r, c))
+        if pin is not None and pin not in rank:
+            raise ValueError(f"pinned letter {pin} outside the {alphabet} alphabet")
+        plan.append((
+            index.get((r - 1, c), ncells),
+            index.get((r, c - 1), ncells),
+            None if pin is None else rank[pin],
+            steps if pin is None else half_steps,
+        ))
+    ranks = [m] * (ncells + 1)  # the extra slot is the missing neighbour
+    vec = [0] * n
+    out = Counter()
+
+    def fill(i):
+        if i == ncells:
+            out[tuple(vec)] += 1
+            return
+        up, left, pin, cell_steps = plan[i]
+        choices = allowed[ranks[up]][ranks[left]]
+        if pin is not None:
+            if pin not in choices:
+                return
+            choices = (pin,)
+        for b in choices:
+            slot, step = cell_steps[b]
+            ranks[i] = b
+            vec[slot] += step
+            fill(i + 1)
+            vec[slot] -= step
+
+    fill(0)
+    return out
 
 
 def tableau_weight(t):

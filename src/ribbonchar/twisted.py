@@ -4,6 +4,7 @@ by fiber brute force and by the sigma/t determinant, and the level-1
 lattice form versus the strip decomposition."""
 from __future__ import annotations
 
+from collections import Counter
 from functools import partial
 from itertools import accumulate, product
 
@@ -17,10 +18,11 @@ from .polyring import (
 from .shapes import BorderStrip, blocks_from_ones
 from .spectra import local_energy_words
 from .tableaux import (
-    enumerate_L_admissible,
+    SIGNED,
+    _pinned_strip,
+    filling_weights,
     signed_alphabet,
     signed_pos,
-    tableau_weight,
 )
 
 
@@ -93,8 +95,14 @@ def energy_twisted(s):
 def weight_twisted(s):
     """Doubled exponents of the weight: letters (+/-)i give (+/-)1 in slot i
     and the whole configuration is shifted by minus the half-sum vector."""
-    vec = [-1] * s.n
-    for a in s.canonical().prefix:
+    return _word_weight(s.prefix, s.n)
+
+
+def _word_weight(word, n):
+    """``weight_twisted`` of a prefix; its zeros, trailing or not, weigh
+    nothing."""
+    vec = [-1] * n
+    for a in word:
         if a > 0:
             vec[a - 1] += 2
         elif a < 0:
@@ -107,9 +115,9 @@ def kappa_twisted(blocks, n):
     return BorderStrip(tuple(blocks) + (2 * n,))
 
 
-def enumerate_twisted_fiber(blocks, n):
-    """Prefixes whose local energies, followed by the all-zero tail,
-    realize the blocks.
+def _fiber_words(blocks, n):
+    """Words whose local energies, followed by the all-zero tail, realize
+    the blocks.
 
     After the last forced 1 the letters must ascend strictly to 0 and stay
     there, so prefixes longer than p_r + n + 1 never occur; the scan length
@@ -119,24 +127,29 @@ def enumerate_twisted_fiber(blocks, n):
     limit = sum(blocks) + n + 2
     target = [1 if i in psums else 0 for i in range(1, limit + 1)]
     H = partial(local_energy_twisted, n=n)
-    for word in local_energy_words(signed_alphabet(n), H, target, 0):
+    return local_energy_words(signed_alphabet(n), H, target, 0)
+
+
+def enumerate_twisted_fiber(blocks, n):
+    """Configurations whose local energies, followed by the all-zero tail,
+    realize the blocks, in the lexicographic order of the signed alphabet."""
+    for word in _fiber_words(blocks, n):
         yield TwistedConfiguration(word, n)
 
 
 def chi_twisted(blocks, n, method="tableaux"):
     """Character of the fiber over a block list, by pinned-tableau
-    enumeration or by the brute-force fiber scan."""
+    enumeration or by the brute-force fiber scan.  Both count weight
+    vectors, building neither tableaux nor configurations."""
     ring = Ring(n, relation=False)
     if method == "tableaux":
-        return ring.from_terms(
-            (tableau_weight(t), 1)
-            for t in enumerate_L_admissible(kappa_twisted(blocks, n), n)
-        )
-    if method == "fiber":
-        return ring.from_terms(
-            (weight_twisted(s), 1) for s in enumerate_twisted_fiber(blocks, n)
-        )
-    raise ValueError("method must be 'tableaux' or 'fiber'")
+        shape, pinned = _pinned_strip(kappa_twisted(blocks, n), n)
+        weights = filling_weights(shape, n, SIGNED, pinned)
+    elif method == "fiber":
+        weights = Counter(_word_weight(word, n) for word in _fiber_words(blocks, n))
+    else:
+        raise ValueError("method must be 'tableaux' or 'fiber'")
+    return ring.from_terms(weights.items())
 
 
 _SIGMA_CACHE = {}

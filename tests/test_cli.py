@@ -1,10 +1,15 @@
+import io
 import json
+from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ribbonchar import characters
 from ribbonchar.cli import main
 from ribbonchar.polyring import build_qseries, laurent_from_json
+from ribbonchar.shapes import BorderStrip
 
 
 def run(capsys, *argv):
@@ -93,6 +98,42 @@ def test_output_is_deterministic(capsys):
     a.pop("wall_time_ms")
     b.pop("wall_time_ms")
     assert json.dumps(a) == json.dumps(b)
+
+
+def stdout_bytes(argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(argv)
+    assert code == 0, argv
+    return out.getvalue().encode()
+
+
+@st.composite
+def character_commands(draw):
+    """One of the character commands whose outputs carry no timing, on a
+    small block list (a valid spectrum point for ``fiber``)."""
+    kind = draw(st.sampled_from(["schur", "fiber", "enum", "fiber-twisted"]))
+    # twisted fibers at n = 3 and size 9 run to hundreds of thousands of words
+    n = draw(st.integers(1, 2 if kind in ("enum", "fiber-twisted") else 3))
+    blocks = draw(st.lists(st.integers(1, 3), max_size=3))
+    if kind == "schur":
+        shape = str(BorderStrip(blocks).realize())
+        return ["schur", "--shape", shape, "--n", str(n), "--method", "enum"]
+    if kind == "fiber":
+        blocks = [min(m, n) for m in blocks]
+        while blocks and blocks[-1] == n:
+            blocks.pop()
+    h = ",".join(map(str, blocks))
+    if kind == "fiber":
+        return ["fiber", "--n", str(n), "--h", h]
+    method = "enum" if kind == "enum" else "fiber"
+    return ["twisted", "schur", "--n", str(n), "--h", h, "--method", method]
+
+
+@settings(max_examples=40, deadline=None)
+@given(character_commands())
+def test_character_output_bytes_repeat_in_process(argv):
+    assert stdout_bytes(argv) == stdout_bytes(argv)
 
 
 def test_usage_errors(capsys):

@@ -1,23 +1,29 @@
 import random
 from collections import Counter
+from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ribbonchar.shapes import BorderStrip, Partition, SkewDiagram, partitions_of
 from ribbonchar.spectra import enumerate_Sp_N
 from ribbonchar.tableaux import (
     GZScheme,
+    SIGNED,
     STANDARD,
     Tableau,
+    _enumerate,
+    _pinned_strip,
     count_LR,
     enumerate_L_admissible,
     enumerate_admissible,
     enumerate_sst,
+    filling_weights,
     gz_from_sst,
     is_lattice_permutation,
     kostka_number,
+    signed_alphabet,
     signed_pos,
     sst_from_gz,
     tableau_from_json,
@@ -269,6 +275,84 @@ def test_count_LR_matches_enumeration_on_random_strips(case):
     bs, content = case
     want = counts_by_enumeration(bs.realize(), content.length(), lattice=True)
     assert count_LR(bs, content) == want[content.parts]
+
+
+# the oracle builds one Tableau per filling; larger streams are skipped
+ORACLE_LIMIT = 2000
+
+
+@st.composite
+def pinned_skew_fillings(draw):
+    """A skew shape of at most 9 cells, a rank, an alphabet, and pins on
+    some of its cells (None for no pins); pins may be impossible."""
+    outer = sorted(draw(st.lists(st.integers(1, 4), max_size=4)), reverse=True)
+    inner = []
+    for part in outer:
+        inner.append(draw(st.integers(0, min([part, *inner[-1:]]))))
+    shape = SkewDiagram(Partition(outer), Partition(inner))
+    assume(shape.size() <= 9)
+    n = draw(st.integers(1, 3))
+    alphabet = draw(st.sampled_from([STANDARD, SIGNED]))
+    letters = list(range(1, n + 1)) if alphabet == STANDARD else signed_alphabet(n)
+    pinned = None
+    if draw(st.booleans()):
+        cells = draw(st.sets(st.sampled_from(shape.cells()))) if shape.cells() else set()
+        pinned = {cell: draw(st.sampled_from(letters)) for cell in sorted(cells)}
+    return shape, n, alphabet, pinned
+
+
+@settings(max_examples=150, deadline=None)
+@given(pinned_skew_fillings())
+@example((SkewDiagram.from_str("0/0"), 2, STANDARD, None))
+@example((SkewDiagram.from_str("0/0"), 3, SIGNED, {}))
+@example((SkewDiagram.from_str("2,1/1"), 1, SIGNED, None))
+# impossible pins: a column pinned decreasing, a row pinned 0, 0
+@example((SkewDiagram.from_str("1,1/0"), 2, STANDARD, {(1, 1): 2, (2, 1): 1}))
+@example((SkewDiagram.from_str("2/0"), 1, SIGNED, {(1, 1): 0, (1, 2): 0}))
+def test_filling_weights_match_tableau_enumerators(case):
+    shape, n, alphabet, pinned = case
+    if pinned is None:
+        oracle = (enumerate_sst if alphabet == STANDARD else enumerate_admissible)(shape, n)
+    else:
+        oracle = _enumerate(shape, n, alphabet, pinned)
+    fillings = list(islice(oracle, ORACLE_LIMIT + 1))
+    assume(len(fillings) <= ORACLE_LIMIT)
+    want = Counter(tableau_weight(t) for t in fillings)
+    assert filling_weights(shape, n, alphabet, pinned) == want
+
+
+@st.composite
+def pinned_strips(draw):
+    """A rank n and a strip of blocks ending in the pinned column 2n; the
+    blocks sum to at most 9, 5 or 4 for n = 1, 2 or 3, where the largest
+    strips have 54, 1,360 and 3,528 fillings."""
+    n = draw(st.integers(1, 3))
+    size = draw(st.integers(0, {1: 9, 2: 5, 3: 4}[n]))
+    cuts = sorted(draw(st.sets(st.integers(1, size - 1)))) if size > 1 else []
+    bounds = [0, *cuts, size] if size else [0]
+    blocks = tuple(b - a for a, b in zip(bounds, bounds[1:]))
+    return n, BorderStrip(blocks + (2 * n,))
+
+
+@settings(max_examples=40, deadline=None)
+@given(pinned_strips())
+@example((1, BorderStrip((2,))))
+@example((3, BorderStrip((6,))))
+def test_filling_weights_match_pinned_strips(case):
+    n, bs = case
+    fillings = list(islice(enumerate_L_admissible(bs, n), ORACLE_LIMIT + 1))
+    assume(len(fillings) <= ORACLE_LIMIT)
+    shape, pinned = _pinned_strip(bs, n)
+    assert filling_weights(shape, n, SIGNED, pinned) == Counter(
+        tableau_weight(t) for t in fillings)
+
+
+def test_filling_weights_reject_pins_outside_the_alphabet():
+    shape = SkewDiagram.from_str("2/0")
+    with pytest.raises(ValueError):
+        filling_weights(shape, 2, STANDARD, {(1, 1): 3})
+    with pytest.raises(ValueError):
+        filling_weights(shape, 2, SIGNED, {(1, 2): -3})
 
 
 def test_tableau_json_round_trip():

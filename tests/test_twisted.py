@@ -4,7 +4,7 @@ from operator import eq
 
 from ribbonchar.polyring import Ring
 from ribbonchar.shapes import BorderStrip
-from ribbonchar.tableaux import signed_alphabet
+from ribbonchar.tableaux import enumerate_L_admissible, signed_alphabet, tableau_weight
 from ribbonchar.twisted import (
     TwistedConfiguration,
     chi_twisted,
@@ -120,6 +120,19 @@ def test_three_way_character_equality():
             fib = chi_twisted(blocks, n, method="fiber")
             det = sL_determinant(blocks, n)
             assert tab == fib == det, (blocks, n)
+
+
+def test_characters_match_the_object_enumerators():
+    # both routes of chi_twisted count weight vectors; the enumerators that
+    # build tableaux and configurations are their oracles
+    for n, blocks in ((1, ()), (1, (2, 1)), (2, (1,)), (2, (1, 3)), (3, (2,))):
+        ring = Ring(n)
+        by_tableaux = ring.from_terms(
+            (tableau_weight(t), 1)
+            for t in enumerate_L_admissible(kappa_twisted(blocks, n), n))
+        by_configs = ring.from_terms(
+            (weight_twisted(s), 1) for s in enumerate_twisted_fiber(blocks, n))
+        assert chi_twisted(blocks, n) == by_tableaux == by_configs, (n, blocks)
 
 
 def twisted_fiber_by_product(blocks, n):
