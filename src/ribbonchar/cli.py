@@ -11,8 +11,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import characters, schur, shapes, spectra, twisted
 from .polyring import QSeries, qpoly_to_json
@@ -173,7 +175,7 @@ def cmd_fiber(args):
         point = spectra.SpectrumPoint(blocks, args.n)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    configs = [list(s.prefix) for s in spectra.enumerate_fiber(point)]
+    configs = list(spectra.fiber_words(point))
     character = spectra.fiber_character(point, relation=args.relation)
     return 0, {
         "n": args.n,
@@ -404,6 +406,64 @@ def build_parser():
     return parser
 
 
+_PLAIN_INTS = {int}
+
+
+def dumps_indented(doc):
+    """The text of ``json.dumps(doc, indent=2)``, byte for byte, in one walk.
+
+    The stdlib encoder runs in pure Python whenever ``indent`` is set.  Here
+    a list of plain ints (bools excluded) is one join, and strings and keys
+    go through the stdlib's C escaping, so ``ensure_ascii`` output is kept.
+    Tuples are written as lists.  Any other value (float, bool, None, a
+    subclass) is handed to ``json.dumps`` and indented at its depth.  Dict
+    keys must be strings, as in every document the commands write; any
+    other key raises ``TypeError``.
+    """
+    out = []
+    _write(doc, "\n", out)
+    return "".join(out)
+
+
+def _write(value, newline, out):
+    """Append the text of ``value`` to ``out``; ``newline`` is the line
+    break plus the indent of the line that ``value`` starts on."""
+    kind = type(value)
+    if kind is str:
+        out.append(_quote(value))
+    elif kind is int:
+        out.append(repr(value))
+    elif kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if {*map(type, value)} == _PLAIN_INTS:
+            out.append("[" + inner + ("," + inner).join(map(repr, value)) + newline + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            out.append(sep + _quote(key) + ": ")
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        # an indented value's line breaks all lie outside its strings, which
+        # escape their own
+        out.append(json.dumps(value, indent=2).replace("\n", newline))
+
+
 def main(argv=None):
     parser = build_parser()
     try:
@@ -415,10 +475,17 @@ def main(argv=None):
     except UsageError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
-    if isinstance(doc, str):
-        print(doc)
-    else:
-        print(json.dumps(doc, indent=2))
+    text = doc if isinstance(doc, str) else dumps_indented(doc)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone (``ribbonchar ... | head``).  Point stdout at
+        # devnull so that the interpreter's flush at exit does not raise
+        # again, and keep the command's own exit code.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -10,6 +10,7 @@ and are handled as plain block tuples.
 """
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
 
@@ -194,50 +195,75 @@ def local_energy_words(letters, H, bits, tail):
 
     The letters allowed after each (letter, bit) are tabulated once from H,
     so the depth-first scan never calls H between two letters of the word.
+    The scan keeps its own stack of (prefix, remaining choices), one entry
+    per position, and yields each word from the loop that picks its last
+    letter.
     """
     m = len(bits)
     if m == 0:
         yield ()
         return
+    letters = tuple(letters)
+    ends = {a for a in letters if H(a, tail) == bits[-1]}
+    if m == 1:
+        yield from ((a,) for a in letters if a in ends)
+        return
     follow = {
-        (a, bit): [b for b in letters if H(a, b) == bit]
-        for a in letters
+        bit: {a: tuple(b for b in letters if H(a, b) == bit) for a in letters}
         for bit in (0, 1)
     }
-    ends = {a for a in letters if H(a, tail) == bits[-1]}
-    word = []
-
-    def extend(choices):
-        i = len(word)
-        if i == m - 1:
-            for a in choices:
-                if a in ends:
-                    yield (*word, a)
-            return
+    # steps[i][a]: the letters allowed at position i + 1 after a at position
+    # i; the last letter must also meet the tail
+    steps = [follow[bit] for bit in bits[:-1]]
+    steps[-1] = {a: tuple(b for b in row if b in ends) for a, row in steps[-1].items()}
+    final = m - 2
+    stack = [((), iter(letters))]
+    while stack:
+        prefix, choices = stack[-1]
         for a in choices:
-            word.append(a)
-            yield from extend(follow[a, bits[i]])
-            word.pop()
+            word = prefix + (a,)
+            i = len(prefix)
+            if i == final:
+                for b in steps[i][a]:
+                    yield word + (b,)
+            else:
+                stack.append((word, iter(steps[i][a])))
+                break
+        else:
+            stack.pop()
 
-    yield from extend(letters)
+
+def fiber_words(h):
+    """Letter prefixes whose local energies, followed by the tail letter 1,
+    are those of the spectrum point, as bare words in lexicographic order."""
+    target = [h.value(i) for i in range(1, h.size() + 1)]
+    return local_energy_words(range(1, h.n + 1), local_energy, target, 1)
 
 
 def enumerate_fiber(h):
-    """Letter prefixes whose local energies, followed by the tail letter 1,
-    are those of the spectrum point.
+    """Configurations of the fiber: those of ``fiber_words``, in order.
 
     Uses only the local energy function; the tableau machinery is never
     consulted, so this is an independent oracle for the bijection.
     """
-    target = [h.value(i) for i in range(1, h.size() + 1)]
-    for word in local_energy_words(range(1, h.n + 1), local_energy, target, 1):
+    for word in fiber_words(h):
         yield SpinConfiguration(word, h.n)
 
 
 def fiber_character(h, relation=True):
-    """Sum of weight monomials over the fiber."""
-    ring = Ring(h.n, relation)
-    return ring.from_terms((weight(s), 1) for s in enumerate_fiber(h))
+    """Sum of weight monomials over the fiber, counted over the bare words
+    of one scan.
+
+    Each word is its configuration's canonical prefix: the last local
+    energy, against the tail letter 1, is always 1, so a word ending in a
+    whole period (1, ..., n) would end the block list with a block n, which
+    a spectrum point cannot have.
+    """
+    letters = range(1, h.n + 1)
+    weights = Counter(
+        tuple([2 * word.count(a) for a in letters]) for word in fiber_words(h)
+    )
+    return Ring(h.n, relation).from_terms(weights.items())
 
 
 def excitation_energy(blocks, n):

@@ -1,15 +1,22 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from collections import OrderedDict
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ribbonchar import characters
-from ribbonchar.cli import main
-from ribbonchar.polyring import build_qseries, laurent_from_json
+import ribbonchar
+from ribbonchar import characters, cli
+from ribbonchar.cli import dumps_indented, laurent_to_json, main
+from ribbonchar.polyring import Ring, build_qseries, laurent_from_json
 from ribbonchar.shapes import BorderStrip
+from ribbonchar.spectra import SpectrumPoint, enumerate_Sp_N, enumerate_fiber, weight
 
 
 def run(capsys, *argv):
@@ -219,3 +226,117 @@ def test_verify_all_quick(capsys):
     doc = json.loads(out)
     assert doc["equal"] is True
     assert len(doc["checks"]) >= 8
+
+
+# strings built from the fragments an encoder can get wrong
+tricky_text = st.lists(
+    st.sampled_from(
+        ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "中", "\U0001f600",
+         "[", "]", "{", "}", ",", " ", ":", '", "', "a"]
+    )
+).map("".join) | st.text()
+json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(10**40), 10**40)
+    | st.floats()
+    | tricky_text
+    | st.lists(st.integers(-(10**30), 10**30))
+    | st.lists(st.integers(-3, 3) | st.booleans())
+)
+json_docs = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner)
+    | st.lists(inner).map(tuple)
+    | st.dictionaries(tricky_text, inner)
+    | st.dictionaries(tricky_text, inner).map(OrderedDict),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(json_docs)
+def test_writer_equals_stdlib_indent_2(doc):
+    assert dumps_indented(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("argv", [
+    ["schur", "--shape", "3,2/1", "--n", "3", "--method", "jt", "--pretty"],
+    ["spectrum", "--n", "3", "--N", "5"],
+    ["fiber", "--n", "3", "--h", "2,1,2", "--relation", "--pretty"],
+    ["decompose", "--n", "2", "--k", "1", "--order", "4", "--variant", "b", "--pretty"],
+    ["kostka", "--lambda", "3,1"],
+    ["verify", "rogers", "--n", "2", "--N", "4"],
+    ["verify", "djkmo", "--n", "2", "--k", "0", "--order", "4"],
+    ["verify", "polychronakos", "--n", "2", "--N", "4"],
+    ["verify", "all", "--quick"],
+    ["twisted", "verify", "--n", "1", "--order", "3"],
+    ["twisted", "schur", "--n", "2", "--h", "1,2", "--method", "det", "--pretty"],
+])
+def test_stdout_is_stdlib_text_of_the_document(capsys, monkeypatch, argv):
+    docs = []
+
+    def spy(doc):
+        docs.append(doc)
+        return dumps_indented(doc)
+
+    monkeypatch.setattr(cli, "dumps_indented", spy)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(docs) == 1
+    assert out == json.dumps(docs[0], indent=2) + "\n"
+
+
+def old_fiber_doc(n, blocks, relation, pretty):
+    """The ``fiber`` document as built before the bare scan: a
+    SpinConfiguration per word, for the list and again for the character."""
+    point = SpectrumPoint(blocks, n)
+    configs = [list(s.prefix) for s in enumerate_fiber(point)]
+    character = Ring(n, relation).from_terms((weight(s), 1) for s in enumerate_fiber(point))
+    return {
+        "n": n,
+        "h": list(blocks),
+        "size": len(configs),
+        "configurations": configs,
+        "character": laurent_to_json(character, pretty),
+    }
+
+
+def test_fiber_command_bytes_match_configuration_route(capsys):
+    for n in (1, 2, 3):
+        for size in range(6):
+            for blocks in enumerate_Sp_N(size, n):
+                if blocks and blocks[-1] == n:
+                    continue
+                for relation, pretty in ((False, False), (True, True)):
+                    argv = ["fiber", "--n", str(n), "--h", ",".join(map(str, blocks))]
+                    argv += ["--relation"] * relation + ["--pretty"] * pretty
+                    code, out, _ = run(capsys, *argv)
+                    assert code == 0
+                    old = old_fiber_doc(n, blocks, relation, pretty)
+                    assert out == json.dumps(old, indent=2) + "\n", argv
+
+
+def test_closed_pipe_keeps_exit_code_and_prints_no_traceback():
+    # about 529 KB of output, far beyond a pipe's buffer, so the command is
+    # still writing when the reader closes its end after 100 bytes
+    src = str(Path(ribbonchar.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ribbonchar.cli", "spectrum", "--n", "2", "--N", "16"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    try:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+        err = proc.stderr.read().decode()
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert "Traceback" not in err, err
+    assert code == 0

@@ -23,6 +23,7 @@ from ribbonchar.spectra import (
     hs_eigenvalue,
     kappa,
     local_energy,
+    local_energy_words,
     motif_to_blocks,
     motifs,
     phi,
@@ -189,6 +190,66 @@ def test_phi_shape_mismatch():
     t = Tableau(other, {(1, 1): 1}, STANDARD, 2)
     with pytest.raises(ValueError):
         phi(t, h)
+
+
+def local_energy_words_recursive(letters, H, bits, tail):
+    """The scan as one nested generator per position, each word passing up
+    through all of them: the oracle for the words and their order."""
+    m = len(bits)
+    if m == 0:
+        yield ()
+        return
+    follow = {
+        (a, bit): [b for b in letters if H(a, b) == bit]
+        for a in letters
+        for bit in (0, 1)
+    }
+    ends = {a for a in letters if H(a, tail) == bits[-1]}
+    word = []
+
+    def extend(choices):
+        i = len(word)
+        if i == m - 1:
+            for a in choices:
+                if a in ends:
+                    yield (*word, a)
+            return
+        for a in choices:
+            word.append(a)
+            yield from extend(follow[a, bits[i]])
+            word.pop()
+
+    yield from extend(letters)
+
+
+def test_local_energy_words_matches_recursive_oracle():
+    # random letter sets in random order, random 0/1 tables and bit strings,
+    # against both tails (1 as in the untwisted model, 0 as in the twisted)
+    rng = random.Random(41)
+    for trial in range(400):
+        letters = rng.sample(range(-3, 5), rng.randint(1, 5))
+        tail = trial % 2
+        table = {
+            (a, b): rng.randint(0, 1) for a in letters for b in {*letters, tail}
+        }
+        H = lambda a, b: table[a, b]
+        bits = [rng.randint(0, 1) for _ in range(rng.randint(0, 8))]
+        got = list(local_energy_words(letters, H, bits, tail))
+        assert got == list(local_energy_words_recursive(letters, H, bits, tail))
+    for tail in (0, 1):
+        assert list(local_energy_words([1, 2], local_energy, [], tail)) == [()]
+
+
+@pytest.mark.parametrize("relation", [False, True])
+def test_fiber_character_matches_configuration_sum(relation):
+    # the configuration route: a SpinConfiguration per word, weighed on its
+    # canonical prefix; under relation=False a word ending in a whole period
+    # would weigh (2, ..., 2) more than its configuration
+    for n, size in ((1, 9), (2, 9), (3, 8), (4, 7)):
+        ring = Ring(n, relation)
+        for h in all_points(size, n):
+            oracle = ring.from_terms((weight(s), 1) for s in enumerate_fiber(h))
+            assert fiber_character(h, relation) == oracle, h
 
 
 def test_fiber_character_equals_strip_schur():
