@@ -14,6 +14,7 @@ from .polyring import (
     build_qseries,
     gaussian_multinomial,
     inverse_pochhammer_series,
+    laurent_dot,
 )
 from .shapes import BorderStrip, Partition, partitions_of, t_statistic
 from .spectra import Z_vertex, enumerate_Sp_N, polychronakos_ground_energy
@@ -71,15 +72,14 @@ def rogers_szego_recursive(N, n):
     if N == 0:
         out = ring.one()
     else:
-        out = ring.zero()
-        for i in range(1, n + 1):
-            if i > N:
-                break
+        products = []
+        for i in range(1, min(n, N) + 1):
             pref = QPoly.const(1)
             for j in range(N - i + 1, N):
                 pref = pref * QPoly({0: 1, j: -1})
-            term = _schur.e_m(ring, i) * rogers_szego_recursive(N - i, n) * pref
-            out = out + (term if i % 2 == 1 else -term)
+            products.append((1 if i % 2 == 1 else -1, _schur.e_m(ring, i) * pref,
+                             rogers_szego_recursive(N - i, n)))
+        out = laurent_dot(ring, products)
     _RSZ_REC_CACHE[key] = out
     return out
 
@@ -89,12 +89,13 @@ def F_N(N, n):
     if N < 0:
         raise ValueError("N must be nonnegative")
     ring = Ring(n, relation=False)
-    out = ring.zero()
     base = N * (N + 1) // 2
-    for blocks in enumerate_Sp_N(N, n):
-        acc = sum(accumulate(blocks))
-        out = out + _schur.schur_strip_cached(blocks, n) * QPoly.term(base - acc)
-    return out
+    zero = (0,) * n
+    return laurent_dot(ring, (
+        (1, _schur.schur_strip_cached(blocks, n),
+         ring.monomial(zero, QPoly.term(base - sum(accumulate(blocks)))))
+        for blocks in enumerate_Sp_N(N, n)
+    ))
 
 
 def _a_exponent(N, m, ks):

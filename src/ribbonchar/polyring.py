@@ -48,8 +48,13 @@ digit is p + p' in {0, 1, 2}; masking the key below bit B*n + 1 reduces it
 mod 2.  So a product is a key addition, and a q shift by j is ``key + j``.
 
 Range.  The product key k + k' - K of in-range keys is exact, but its
-digit values may leave [-H, H), and one more addition could then carry.  So every product
-checks its result keys.  A biased digit is in range iff its two top bits
+digit values may leave [-H, H), and one more addition could then carry.  So
+the check runs once per stored sum: a product, or a sum of products
+(``laurent_dot``), checks the keys it stores once all its products are
+added.  Collecting coefficients under exact keys adds no keys together, so
+the sum is exact, and an out-of-range product key whose coefficients cancel
+inside one sum is not stored: it leaves an exact zero, which is the true
+coefficient there.  A biased digit is in range iff its two top bits
 are 01 or 10, i.e. iff bit B-1 of D ^ (D << 1) is set; K has exactly bit
 B-1 of each biased digit set, so all keys are in range iff the AND of
 k ^ (k << 1) over them keeps every bit of K.  A key out of range raises
@@ -481,15 +486,7 @@ class Laurent:
             blocks = [
                 (a, b) for e, a in lhs.items() for f, b in rhs.items() if e + f <= order
             ]
-        out = {}
-        get = out.get
-        for a, b in blocks:
-            for k1, c1 in a:
-                base = k1 - one
-                for k2, c2 in b:
-                    k = (base + k2) & wrap
-                    out[k] = get(k, 0) + c1 * c2
-        return ring._checked({k: c for k, c in out.items() if c})
+        return _dot(ring, blocks)
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
@@ -643,6 +640,41 @@ def elementary_symmetric(m, variables):
     return e[m]
 
 
+def _dot(ring, blocks):
+    """The checked terms of the sum of a * b over (a, b) blocks, a and b
+    iterables of (key, coefficient) pairs of ``ring``, b iterable repeatedly."""
+    one, wrap = ring._one, ring._wrap
+    out = {}
+    get = out.get
+    for a, b in blocks:
+        for k1, c1 in a:
+            base = k1 - one
+            for k2, c2 in b:
+                k = (base + k2) & wrap
+                out[k] = get(k, 0) + c1 * c2
+    return ring._checked({k: c for k, c in out.items() if c})
+
+
+def laurent_dot(ring, products):
+    """Sum of c * a * b over (int c, Laurent a, Laurent b) triples of one ring.
+
+    Every product is added into one term dict as it is made, so no product
+    and no running total is built as a ``Laurent``; the sum is range-checked
+    once, on the keys it stores (module docstring, "Range").
+    """
+    def blocks():
+        for c, a, b in products:
+            for value in (a, b):
+                if value.ring is not ring and value.ring != ring:
+                    raise RingContextError(f"mixed contexts {ring} and {value.ring}")
+            if c == 1:
+                yield a.terms.items(), list(b.terms.items())
+            elif c:
+                yield a.terms.items(), [(k, c * v) for k, v in b.terms.items()]
+
+    return Laurent._raw(ring, _dot(ring, blocks()))
+
+
 def laurent_sum(ring, values):
     """Sum of Laurent values of one ring, accumulated in place into one term
     dict instead of copying a running total on every addition."""
@@ -659,9 +691,13 @@ def laurent_sum(ring, values):
 def determinant(matrix):
     """Exact determinant of a square Laurent matrix.
 
-    Expansion along the first remaining row with memoization on the active
-    column set, so repeated minors are computed once.  Each row sum is
-    accumulated in place into one term dict.
+    Expansion along the first remaining column: the minor of a set of rows
+    is the first remaining column over those rows, and each minor is one
+    ``laurent_dot`` of its nonzero entries times their minors, memoised on
+    the row tuple.  On a unit upper-Hessenberg r x r matrix (the strip
+    matrices of ``schur`` and ``twisted``) the rows left after k columns are
+    rows 0..k less one of them plus rows k+1..r-1, so r(r+1)/2 minors are
+    computed, against up to 2^r - 1 row sets on a dense matrix.
     """
     r = len(matrix)
     if r == 0:
@@ -676,28 +712,24 @@ def determinant(matrix):
                 raise RingContextError("matrix entries in mixed contexts")
     memo = {}
 
-    def minor(i, cols):
-        if not cols:
-            return ring.one()
-        key = (i, cols)
-        got = memo.get(key)
+    def minor(rows):
+        j = r - len(rows)
+        if j == r - 1:
+            return matrix[rows[0]][j]
+        got = memo.get(rows)
         if got is not None:
             return got
-        row = matrix[i]
-        acc = {}
-        get = acc.get
+        products = []
         sign = 1
-        for idx, j in enumerate(cols):
-            entry = row[j]
+        for idx, i in enumerate(rows):
+            entry = matrix[i][j]
             if entry:
-                sub = cols[:idx] + cols[idx + 1 :]
-                for k, c in (entry * minor(i + 1, sub)).terms.items():
-                    acc[k] = get(k, 0) + sign * c
+                products.append((sign, entry, minor(rows[:idx] + rows[idx + 1 :])))
             sign = -sign
-        out = memo[key] = Laurent._raw(ring, {k: c for k, c in acc.items() if c})
+        out = memo[rows] = laurent_dot(ring, products)
         return out
 
-    return minor(0, tuple(range(r)))
+    return minor(tuple(range(r)))
 
 
 class QSeries:

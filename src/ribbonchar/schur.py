@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 
-from .polyring import Ring, determinant, elementary_symmetric
+from .polyring import Ring, determinant, elementary_symmetric, laurent_dot
 from .shapes import Partition, SkewDiagram, is_border_strip, partitions_of, strip_from_skew
 from .tableaux import STANDARD, filling_weights
 
@@ -66,7 +66,8 @@ def schur_strip_cached(blocks, n, relation=False):
     """Border-strip Schur via the first-row expansion, memoized on prefixes.
 
     s_<m_1..m_r> = sum_i (-1)^(i+1) e_{m_r+...+m_{r-i+1}} s_<m_1..m_{r-i}>,
-    and terms with the e-index above n vanish, so each step is short.
+    and terms with the e-index above n vanish, so each step is short.  The
+    sum is one ``laurent_dot``: no product or partial sum is built.
     """
     blocks = tuple(blocks)
     key = (blocks, n, relation)
@@ -78,16 +79,18 @@ def schur_strip_cached(blocks, n, relation=False):
         out = ring.one()
     else:
         r = len(blocks)
-        out = ring.zero()
+        products = []
         idx = 0
         sign = 1
         for i in range(1, r + 1):
             idx += blocks[r - i]
             if idx > n:
                 break
-            term = e_m(ring, idx) * schur_strip_cached(blocks[: r - i], n, relation)
-            out = out + (term if sign > 0 else -term)
+            products.append(
+                (sign, e_m(ring, idx), schur_strip_cached(blocks[: r - i], n, relation))
+            )
             sign = -sign
+        out = laurent_dot(ring, products)
     _STRIP_CACHE[key] = out
     return out
 

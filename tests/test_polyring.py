@@ -16,6 +16,7 @@ from ribbonchar.polyring import (
     determinant,
     elementary_symmetric,
     gaussian_multinomial,
+    laurent_dot,
     laurent_from_json,
     laurent_to_json,
     q_pochhammer,
@@ -525,3 +526,134 @@ def test_laurent_matches_tuple_keyed_reference(pair):
         m = a.ring.monomial(v, QPoly.term(1, -2))
         ref = ref_laurent_mul(ta, as_tuple_terms(m), a.ring.relation)
         assert a * m == m * a == a.ring.from_terms(ref.items())
+
+
+# -- the multiply-accumulate kernel -------------------------------------------
+
+
+def dot_by_operators(ring, products):
+    """The same sum through Laurent ``*`` and ``+``, one product at a time."""
+    out = ring.zero()
+    for c, a, b in products:
+        out = out + a * b * c
+    return out
+
+
+@st.composite
+def dot_cases(draw):
+    """A ring and (c, a, b) triples: zero coefficients, zero values, and
+    triples each followed later by its own negative, so that whole products
+    cancel inside the sum."""
+    ring = draw(rings)
+    value = st.one_of(st.just(ring.zero()), laurents(ring, st.integers(-2, 2)))
+    triples = draw(st.lists(st.tuples(st.integers(-3, 3), value, value), max_size=4))
+    if triples:
+        for c, a, b in draw(st.lists(st.sampled_from(triples), max_size=2)):
+            triples.append((-c, b, a))
+    return ring, draw(st.permutations(triples))
+
+
+@settings(max_examples=120, deadline=None)
+@given(dot_cases())
+def test_laurent_dot_equals_sum_of_products(case):
+    ring, triples = case
+    expected = dot_by_operators(ring, triples)
+    got = laurent_dot(ring, triples)
+    assert got == expected
+    assert all(got.terms.values())
+    assert laurent_dot(ring, iter(triples)) == expected
+    # any ring equal to the one named is accepted
+    assert laurent_dot(Ring(ring.n, ring.relation), triples) == expected
+
+
+def test_laurent_dot_edge_cases():
+    for relation in (False, True):
+        ring = Ring(3, relation)
+        x1, x2, x3 = ring.gens()
+        assert laurent_dot(ring, []) == ring.zero()
+        assert laurent_dot(ring, [(0, x1, x2)]) == ring.zero()
+        assert laurent_dot(ring, [(5, ring.zero(), x2), (2, x1, ring.zero())]) == ring.zero()
+        assert laurent_dot(ring, [(1, x1, x2), (-1, x2, x1)]) == ring.zero()
+        assert laurent_dot(ring, [(2, x1 + x2, x3), (-1, x3, x2)]) == x3 * (x1 * 2 + x2)
+        assert laurent_dot(ring, [(1, x1, ring.one())]) == x1
+
+
+def test_laurent_dot_rejects_mixed_rings():
+    ring = Ring(2)
+    for foreign in (Ring(3).one(), Ring(2, relation=True).one(), Ring(1).zero()):
+        for triple in ((1, foreign, ring.one()), (1, ring.one(), foreign),
+                       (0, foreign, ring.one()), (1, foreign, foreign)):
+            with pytest.raises(RingContextError):
+                laurent_dot(ring, [triple])
+        with pytest.raises(RingContextError):
+            laurent_dot(ring, [(1, ring.gen(1), ring.gen(2)), (1, foreign, foreign)])
+        with pytest.raises(RingContextError):
+            determinant([[ring.one(), ring.zero()], [foreign, ring.one()]])
+
+
+def small_entries(ring):
+    """Laurent entries of at most two terms with small exponents."""
+    vectors = st.tuples(*[st.integers(-2, 2)] * ring.n)
+    coeffs = st.one_of(st.integers(-2, 2), st.integers(-1, 1).map(QPoly.term))
+    return st.lists(st.tuples(vectors, coeffs), min_size=1, max_size=2).map(ring.from_terms)
+
+
+PATTERNS = ("dense", "unit_hessenberg", "upper", "lower", "sparse")
+
+
+@st.composite
+def matrix_cases(draw):
+    """A square matrix of size 1..6 with a zero pattern from ``PATTERNS``,
+    sometimes with one row set to zero."""
+    ring = draw(rings)
+    size = draw(st.integers(1, 6))
+    pattern = draw(st.sampled_from(PATTERNS))
+    entry = small_entries(ring)
+    matrix = []
+    for i in range(size):
+        row = []
+        for j in range(size):
+            if pattern == "unit_hessenberg" and i == j + 1:
+                row.append(ring.one())
+            elif (pattern in ("unit_hessenberg", "upper") and i > j
+                  or pattern == "lower" and i < j
+                  or pattern == "sparse" and draw(st.booleans())):
+                row.append(ring.zero())
+            else:
+                row.append(draw(entry))
+        matrix.append(row)
+    zero_row = draw(st.one_of(st.none(), st.integers(0, size - 1)))
+    if zero_row is not None:
+        matrix[zero_row] = [ring.zero()] * size
+    return pattern, zero_row, matrix
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrix_cases())
+def test_determinant_matches_cofactor_on_zero_patterns(case):
+    pattern, zero_row, matrix = case
+    det = determinant(matrix)
+    assert det == naive_cofactor(matrix)
+    if zero_row is not None:
+        assert not det
+    if pattern in ("upper", "lower"):
+        diagonal = matrix[0][0]
+        for i in range(1, len(matrix)):
+            diagonal = diagonal * matrix[i][i]
+        assert det == diagonal
+
+
+def test_sums_of_products_keep_the_range_check():
+    for relation in (False, True):
+        ring = Ring(2, relation)
+        a, b = ring.monomial((HALF - 2, 0)), ring.gen(1)  # x_1^((H-2)/2) and x_1
+        for compute in (lambda: laurent_dot(ring, [(1, a, b)]),
+                        lambda: laurent_dot(ring, [(1, ring.one(), ring.one()), (2, b, a)]),
+                        lambda: determinant([[a, ring.zero()], [ring.zero(), b]]),
+                        lambda: a * b):
+            with pytest.raises(OverflowError):
+                compute()
+        # out-of-range product keys that cancel inside one sum leave an exact zero
+        assert laurent_dot(ring, [(1, a, b), (-1, b, a)]) == ring.zero()
+        assert laurent_dot(ring, [(2, a, b), (1, ring.one(), b), (-2, b, a)]) == b
+        assert determinant([[a, a], [b, b]]) == ring.zero()
