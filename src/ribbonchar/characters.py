@@ -16,14 +16,16 @@ from .polyring import (
     inverse_pochhammer_series,
     laurent_dot,
 )
-from .shapes import BorderStrip, Partition, partitions_of, t_statistic
+from .shapes import BorderStrip, Partition, partitions_of
 from .spectra import Z_vertex, enumerate_Sp_N, polychronakos_ground_energy
-from .tableaux import count_LR, kostka_number
+from .tableaux import count_LR, kostka_numbers, lattice_column, lattice_start
 from . import schur as _schur
 
 
 def _compositions(total, parts):
     """All tuples of ``parts`` nonnegative integers summing to ``total``."""
+    if parts < 1:
+        raise ValueError("need at least one part")
     if parts == 1:
         yield (total,)
         return
@@ -316,30 +318,52 @@ def kostka_foulkes(lam, n=None):
     extraction oracle and by the q-multinomial identity behind it.  A column
     longer than the length of lam has no strictly increasing filling from
     its letters, so columns are listed only up to that length.
+
+    A depth-first search over column prefixes, each column tried in
+    increasing order, lists the strips in ``enumerate_Sp_N``'s lexicographic
+    order.  A prefix carries the ``count_LR`` states of its columns, one
+    ``lattice_column`` step per column.  The pruning is complete: a state
+    after a step extends one before it, so a prefix with no states leaves
+    every strip extending it at count 0, which the audit list omits.  t, the
+    sum of all prefix sums but the last, grows by the previous one per column.
     """
     if not isinstance(lam, Partition):
         lam = Partition(lam)
+    if n is not None and n < 1:
+        raise ValueError("rank must be positive")
     least = max(lam.length(), 1)
     n = least if n is None else min(n, least)
+    N, cap = lam.size(), lam.parts
     strips = []
-    poly = QPoly()
-    for blocks in enumerate_Sp_N(lam.size(), n):
-        bs = BorderStrip(blocks)
-        c = count_LR(bs, lam)
-        if c:
-            t = t_statistic(bs)
-            strips.append((bs, t, c))
-            poly = poly + QPoly.term(t, c)
-    return KostkaResult(lam, poly, strips)
+    coeffs = {}
+
+    def grow(states, p, t, blocks):
+        if p == N:
+            c = sum(states.values())
+            strips.append((BorderStrip(blocks), t, c))
+            coeffs[t] = coeffs.get(t, 0) + c
+            return
+        for m in range(1, min(n, N - p) + 1):
+            nxt = lattice_column(states, m, cap)
+            if nxt:
+                grow(nxt, p + m, t + p, blocks + (m,))
+
+    grow(lattice_start(cap), 0, 0, ())
+    return KostkaResult(lam, QPoly(coeffs), strips)
 
 
 def kostka_rhs(N, n):
     """sum over n-part compositions of q^(sum k_i(k_i-1)/2) [N; k]_q x^k,
-    as its coefficients ``{doubled exponent vector: QPoly}``: each
-    composition k is the one monomial x^k."""
+    as its coefficients ``{doubled exponent vector: QPoly}`` at the
+    partitions of N padded to n parts.  Both the q-multinomial and the
+    shift are symmetric in k, so the sum is symmetric in x and its
+    coefficient at any composition is the one at its sorted partition."""
+    if n < 1 or N < 0:
+        raise ValueError("need rank n >= 1 and N >= 0")
+    padded = (mu.parts + (0,) * (n - mu.length()) for mu in partitions_of(N, max_length=n))
     return {
         tuple(2 * k for k in comp): _gm(N, comp).shifted(sum(k * (k - 1) // 2 for k in comp))
-        for comp in _compositions(N, n)
+        for comp in padded
     }
 
 
@@ -354,6 +378,8 @@ def kostka_oracle(lam, n=None):
     if not isinstance(lam, Partition):
         lam = Partition(lam)
     n = max(lam.length(), 1) if n is None else n
+    if n < 1:
+        raise ValueError("rank must be positive")
     if lam.length() > n:
         return QPoly()
     N = lam.size()
@@ -361,10 +387,8 @@ def kostka_oracle(lam, n=None):
     shapes = sorted(partitions_of(N, max_length=n), reverse=True)
     extracted = {}
     for mu in shapes:
-        vec = tuple(2 * mu.part(i) for i in range(1, n + 1))
-        val = rhs.get(vec, QPoly())
-        for nu, knu in extracted.items():
-            count = kostka_number(nu, mu)
+        val = rhs[tuple(2 * mu.part(i) for i in range(1, n + 1))]
+        for knu, count in zip(extracted.values(), kostka_numbers(extracted, mu)):
             if count:
                 val = val - knu * count
         extracted[mu] = val

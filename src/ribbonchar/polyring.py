@@ -272,13 +272,17 @@ def q_pochhammer(k):
 def gaussian_multinomial(N, parts):
     """(q)_N / prod (q)_{k_i} as an exact integer polynomial.
 
-    The division is carried out explicitly and asserted to be exact.
+    (q)_N / (q)_K for the largest part K is the product of (1 - q^i) over
+    K < i <= N; every other part is divided out explicitly, and each of
+    those divisions is asserted to be exact.
     """
-    parts = tuple(parts)
+    parts = sorted(parts)
     if any(k < 0 for k in parts) or sum(parts) != N:
         raise ValueError("parts must be nonnegative and sum to N")
-    out = q_pochhammer(N)
-    for k in parts:
+    out = QPOLY_ONE
+    for i in range(parts[-1] + 1 if parts else 1, N + 1):
+        out = out * QPoly._raw({0: 1, i: -1})
+    for k in parts[:-1]:
         out = out.divexact(q_pochhammer(k))
     return out
 

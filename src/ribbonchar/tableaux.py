@@ -12,9 +12,10 @@ routes build no tableau.  ``filling_weights`` runs the same backtracking
 over letter ranks, with the letters allowed under each (above, left) pair
 tabulated once per call, and counts the weight vectors of the fillings; the
 Schur and twisted characters are read off it.  The two counts, lattice
-fillings of a border strip (``count_LR``) and Kostka numbers
-(``kostka_number``), are exact integer dynamic programmes with a memo that
-lives only for the call.
+fillings of a border strip (``count_LR``, a fold of ``lattice_column`` over
+its columns) and Kostka numbers (``kostka_numbers``), are exact integer
+dynamic programmes.  Their state lives only for the call: a Kostka memo is
+shared by the shapes of one call, which all have one content.
 """
 from __future__ import annotations
 
@@ -305,37 +306,52 @@ def is_lattice_permutation(t):
     return True
 
 
+def lattice_column(states, m, cap):
+    """The ``count_LR`` states after one more column of ``m`` cells.
+
+    ``states`` maps (content placed so far, last letter placed) to the
+    number of ways, with 0-based letters below ``len(cap)``.  Inside the
+    column each letter sits above the next cell, which must exceed it; the
+    top cell shares a row with the bottom of the column to its right, so it
+    may not exceed that letter.  Letters are capped by ``cap`` and by the
+    lattice rule #a <= #(a-1) on every prefix.  Each new state extends one
+    old state, so no states give no states.
+    """
+    nletters = len(cap)
+    for i in range(m):
+        nxt = {}
+        for (counts, last), ways in states.items():
+            for a in range(last + 1) if i == 0 else range(last + 1, nletters):
+                k = counts[a]
+                if k == cap[a] or (a and k == counts[a - 1]):
+                    continue
+                key = (counts[:a] + (k + 1,) + counts[a + 1:], a)
+                nxt[key] = nxt.get(key, 0) + ways
+        states = nxt
+    return states
+
+
+def lattice_start(cap):
+    """The ``lattice_column`` states of the empty strip: nothing placed,
+    and the first cell may take any letter."""
+    return {((0,) * len(cap), len(cap) - 1): 1}
+
+
 def count_LR(bs, content):
     """Number of lattice-permutation fillings of the strip with the given
     content partition; zero when the sizes disagree.
 
     A dynamic programme over the strip reading word, taken straight from
-    ``bs.columns``: columns right to left, top to bottom inside a column.
-    A state is the content placed so far and the last letter placed.  Inside
-    a column that letter sits above the next cell, which must exceed it; the
-    top cell of a new column shares a row with the bottom of the column to
-    its right, so it may not exceed it.  Letters are capped by the content
-    and by the lattice rule #a <= #(a-1) on every prefix.
+    ``bs.columns``: columns right to left, top to bottom inside a column,
+    one ``lattice_column`` step per column.
     """
     if not isinstance(content, Partition):
         content = Partition(content)
     if bs.size() != content.size():
         return 0
-    cap = content.parts
-    nletters = len(cap)
-    # letters are 0-based here; the first cell may take any letter
-    states = {((0,) * nletters, nletters - 1): 1}
+    states = lattice_start(content.parts)
     for m in bs.columns:
-        for i in range(m):
-            nxt = {}
-            for (counts, last), ways in states.items():
-                for a in range(last + 1) if i == 0 else range(last + 1, nletters):
-                    k = counts[a]
-                    if k == cap[a] or (a and k == counts[a - 1]):
-                        continue
-                    key = (counts[:a] + (k + 1,) + counts[a + 1:], a)
-                    nxt[key] = nxt.get(key, 0) + ways
-            states = nxt
+        states = lattice_column(states, m, content.parts)
     return sum(states.values())
 
 
@@ -367,20 +383,29 @@ def _kostka(lam, mu, k, memo):
     return memo[key]
 
 
-def kostka_number(shape, content):
-    """Number of straight-shape semi-standard fillings with given content.
+def kostka_numbers(shapes, content):
+    """[K(shape, content) for shape in shapes]: the numbers of
+    straight-shape semi-standard fillings with the given content.
 
     Counted by the branching rule: the cells holding the largest letter form
     a horizontal strip, so K(lam, mu) is the sum of K(nu, mu without its last
     part) over the nu with lam/nu a horizontal strip of that many cells.
+    A memo key (shape, k) stands for the first k parts of this content, so
+    one memo serves every shape of the call.
     """
-    if not isinstance(shape, Partition):
-        shape = Partition(shape)
     if not isinstance(content, Partition):
         content = Partition(content)
-    if shape.size() != content.size():
-        return 0
-    return _kostka(shape.parts, content.parts, content.length(), {})
+    memo = {}
+    return [
+        _kostka(lam.parts, content.parts, content.length(), memo)
+        if lam.size() == content.size() else 0
+        for lam in (s if isinstance(s, Partition) else Partition(s) for s in shapes)
+    ]
+
+
+def kostka_number(shape, content):
+    """K(shape, content), as ``kostka_numbers`` counts it."""
+    return kostka_numbers((shape,), content)[0]
 
 
 class GZScheme:

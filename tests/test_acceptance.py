@@ -98,6 +98,15 @@ def test_criterion_01_kostka_foulkes():
     announce(1, "Kostka-Foulkes strip formula and oracle")
 
 
+def test_criterion_01_kostka_foulkes_at_scale():
+    started = time.perf_counter()
+    for lam in (Partition((5, 4, 3, 2)), Partition((4, 4, 3, 2, 1))):
+        assert kostka_foulkes(lam).polynomial == kostka_oracle(lam), lam
+    elapsed = time.perf_counter() - started
+    assert elapsed < 2.5, f"took {elapsed:.1f}s"
+    announce(1, "Kostka-Foulkes strip formula and oracle at sizes 14 and 15")
+
+
 def test_criterion_02_strip_sum_equals_multinomial():
     started = time.perf_counter()
     r2 = Ring(2)

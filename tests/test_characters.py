@@ -14,8 +14,10 @@ from ribbonchar.characters import (
     branching_function,
     conformal_dimension,
     decomposition_strips,
+    _compositions,
     kostka_foulkes,
     kostka_oracle,
+    kostka_rhs,
     level1_decomposition,
     level1_theta,
     polychronakos_partition,
@@ -27,12 +29,14 @@ from ribbonchar.polyring import (
     QPoly,
     Ring,
     build_qseries,
+    gaussian_multinomial,
     inverse_pochhammer_series,
     q_pochhammer,
 )
 from ribbonchar.schur import schur_straight_cached, schur_strip_cached
-from ribbonchar.shapes import Partition
-from ribbonchar.spectra import Z_vertex_direct
+from ribbonchar.shapes import BorderStrip, Partition, partitions_of, t_statistic
+from ribbonchar.spectra import Z_vertex_direct, enumerate_Sp_N
+from ribbonchar.tableaux import count_LR
 
 
 def q_truncated(poly, order):
@@ -373,6 +377,78 @@ def test_kostka_rank_independence():
         assert kostka_foulkes(lam, lam.length() + 2).polynomial == base
 
 
+def kostka_strips_by_compositions(lam, n=None):
+    """The strip audit list by one ``count_LR`` per composition of |lam|
+    with parts up to min(n, len(lam)), in ``enumerate_Sp_N`` order."""
+    least = max(lam.length(), 1)
+    n = least if n is None else min(n, least)
+    out = []
+    for blocks in enumerate_Sp_N(lam.size(), n):
+        bs = BorderStrip(blocks)
+        c = count_LR(bs, lam)
+        if c:
+            out.append((bs, t_statistic(bs), c))
+    return out
+
+
+def test_kostka_strips_match_composition_route():
+    for N in range(10):
+        for lam in partitions_of(N):
+            for n in (None, 1, 2, 3, 4, 5):
+                want = kostka_strips_by_compositions(lam, n)
+                assert list(kostka_foulkes(lam, n).strips) == want, (lam, n)
+
+
+@st.composite
+def partitions_with_rank(draw):
+    lam = draw(st.sampled_from(partitions_of(draw(st.integers(0, 11)))))
+    return lam, draw(st.one_of(st.none(), st.integers(1, 7)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(partitions_with_rank())
+def test_kostka_strips_match_composition_route_on_random_partitions(case):
+    lam, n = case
+    assert list(kostka_foulkes(lam, n).strips) == kostka_strips_by_compositions(lam, n)
+
+
+def kostka_rhs_by_compositions(N, n):
+    """The q-multinomial expansion at every n-part composition of N."""
+    return {
+        tuple(2 * k for k in comp):
+            gaussian_multinomial(N, comp).shifted(sum(k * (k - 1) // 2 for k in comp))
+        for comp in product(range(N + 1), repeat=n)
+        if sum(comp) == N
+    }
+
+
+def test_kostka_rhs_reads_the_partition_coefficients():
+    for N in range(8):
+        for n in range(1, 5):
+            full = kostka_rhs_by_compositions(N, n)
+            got = kostka_rhs(N, n)
+            assert got == {v: c for v, c in full.items() if list(v) == sorted(v, reverse=True)}
+            # the full sum is constant on S_n-orbits
+            for vec, coeff in full.items():
+                assert coeff == got[tuple(sorted(vec, reverse=True))], (N, n, vec)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_kostka_rejects_rank_below_one(n):
+    for lam in (Partition(), Partition((2, 1))):
+        with pytest.raises(ValueError):
+            kostka_foulkes(lam, n)
+        with pytest.raises(ValueError):
+            kostka_oracle(lam, n)
+    for N in (0, 3):
+        with pytest.raises(ValueError):
+            kostka_rhs(N, n)
+    with pytest.raises(ValueError):
+        next(_compositions(3, n))
+    with pytest.raises(ValueError):
+        kostka_rhs(-1, 2)
+
+
 def test_branching_vacuum():
     b = branching_function(0, Partition(), 2, 2)
     assert b.offset == 0
@@ -397,9 +473,6 @@ def test_branching_consistency():
 
 def test_branching_padded_content():
     # the shifted-content rule engages at sizes |shape| + n
-    from ribbonchar.tableaux import count_LR
-    from ribbonchar.shapes import BorderStrip
-
     strips3 = [(1, 1, 1), (2, 1), (1, 2)]
     assert all(count_LR(BorderStrip(b), Partition((1, 1, 1))) == 0 for b in strips3)
     b = branching_function(0, Partition(), 3, 6)

@@ -2,6 +2,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -124,6 +125,32 @@ def test_gaussian_multinomial():
         for k in parts:
             expected //= math.factorial(k)
         assert value == expected
+
+
+def full_division_multinomial(N, parts):
+    """(q)_N divided by (q)_k for every part k, the largest one included."""
+    out = q_pochhammer(N)
+    for k in parts:
+        out = out.divexact(q_pochhammer(k))
+    return out
+
+
+def test_gaussian_multinomial_matches_full_division():
+    # every weak composition of N <= 10 into at most four parts, in every
+    # order and with zeros
+    cases = 0
+    for N in range(11):
+        for length in range(1, 5):
+            for parts in product(range(N + 1), repeat=length):
+                if sum(parts) == N:
+                    got = gaussian_multinomial(N, parts)
+                    assert got == full_division_multinomial(N, parts), (N, parts)
+                    cases += 1
+    assert cases == 1364
+    assert gaussian_multinomial(0, []) == QPoly.const(1)
+    for N, parts in ((3, [4, -1]), (3, [1, 1]), (1, [])):
+        with pytest.raises(ValueError):
+            gaussian_multinomial(N, parts)
 
 
 def test_divexact_rejects_inexact():

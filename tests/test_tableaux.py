@@ -23,6 +23,8 @@ from ribbonchar.tableaux import (
     gz_from_sst,
     is_lattice_permutation,
     kostka_number,
+    kostka_numbers,
+    lattice_column,
     signed_alphabet,
     signed_pos,
     sst_from_gz,
@@ -253,6 +255,25 @@ def test_kostka_number_matches_enumeration_exhaustively():
             )
             for mu in partitions_of(size):
                 assert kostka_number(lam, mu) == want[mu.parts], (lam, mu)
+
+
+def test_kostka_numbers_share_one_memo_per_content():
+    # one call over every shape of a size, in both orders, equals one
+    # call per shape; a shape of another size counts 0
+    for size in range(9):
+        shapes = partitions_of(size)
+        for mu in shapes:
+            want = [kostka_number(lam, mu) for lam in shapes]
+            assert kostka_numbers(shapes, mu) == want, mu
+            assert kostka_numbers(shapes[::-1], mu) == want[::-1], mu
+            assert kostka_numbers([(size + 1,), *shapes], mu.parts) == [0, *want]
+    assert kostka_numbers([], (2, 1)) == []
+
+
+def test_lattice_column_keeps_no_states_empty():
+    # the premise of the pruning in kostka_foulkes
+    for m in range(4):
+        assert lattice_column({}, m, (2, 1)) == {}
 
 
 @st.composite
