@@ -228,19 +228,31 @@ def level1_decomposition(n, k, order, variant="a"):
 def level1_theta(n, k, order):
     """Lattice-sum form of the sector-k character.
 
-    Weight classes are enumerated by integer vectors a with minimum entry 0
-    and coordinate sum s congruent to k mod n; such a vector sits at
-    exponent (n * sum a_i^2 - s^2) / (2n), and
+    Weight classes are the integer vectors a with minimum entry 0 and
+    coordinate sum s congruent to k mod n; such a vector sits at exponent
+    P(a) / (2n), where
 
-        n * sum a_i^2 - s^2 = sum_{i<j} (a_i - a_j)^2.
+        P(a) = n * sum a_i^2 - s^2 = sum_{i<j} (a_i - a_j)^2.
 
-    Pairing each a_i with a zero entry bounds a_i^2 by that sum, so every
-    entry is at most isqrt(cap) with cap = floor(2n * cutoff).  The search
-    fixes one coordinate at a time; the pairwise sum over the coordinates
-    fixed so far only grows, and it is convex in the next coordinate, so
-    the scan over that coordinate stops once it is past the minimum and
-    over the cap.  The result carries the inverse-q-factorial denominator
-    to the requested order.
+    s and P are symmetric, so the search lists one vector per S_n-orbit,
+    the non-increasing one, whose last entry is its minimum 0.
+    ``Ring.symmetrized`` expands the orbits of one exponent into their
+    distinct permutations, one contribution per exponent.  Distinct vectors
+    with minimum 0 are distinct monomials under the relation, so every
+    coefficient of the sum is 1.
+
+    The search is complete.  Every vector in the window has P <= cap with
+    cap = floor(2n * cutoff).  Let P_i and s_i be the pairwise sum and the
+    sum of the first i entries.  Appending x adds sum_{j<=i} (a_j - x)^2,
+    at least its minimum over real x, P_i / i at x = s_i / i; each later
+    entry adds at least that much again, as its sum runs over a longer
+    prefix.  So P >= P_i + (n - i) P_i / i = n P_i / i, and a prefix with
+    n P_i > i cap has no completion in the window.  The first entry is at
+    most isqrt(cap), as a_1^2 = (a_1 - a_n)^2 <= P.  Each later entry is
+    scanned downward from the previous one: below the prefix's minimum
+    every (a_j - x)^2 grows as x falls, so once a prefix fails the bound
+    every smaller x fails it too and the scan stops.  The result carries
+    the inverse-q-factorial denominator to the requested order.
     """
     if not 0 <= k < n:
         raise ValueError("sector out of range")
@@ -249,32 +261,29 @@ def level1_theta(n, k, order):
     cutoff = delta + order
     two_n = 2 * n
     cap = math.floor(two_n * cutoff)
-    box = math.isqrt(max(cap, 0))
-    doubled = []
+    orbits = {}
+    prefix = []
 
-    def grow(i, s, squares, pairs, has_zero):
-        # i coordinates fixed, with sum s, sum of squares ``squares`` and
-        # pairwise sum ``pairs``
-        if i == n:
-            yield Fraction(pairs, two_n), ring.monomial(tuple(doubled))
+    def grow(i, s, squares, pairs):
+        # i entries fixed, with sum s, sum of squares ``squares`` and
+        # pairwise sum ``pairs``; the last entry is 0
+        if i == n - 1:
+            pairs += squares
+            if s % n == k and pairs <= cap:
+                orbits.setdefault(pairs, []).append((*(2 * x for x in prefix), 0))
             return
-        if i < n - 1:
-            xs = range(box + 1)
-        elif has_zero:
-            xs = range((k - s) % n, box + 1, n)
-        else:
-            xs = (0,) if (k - s) % n == 0 else ()
-        for x in xs:
-            total = pairs + i * x * x - 2 * s * x + squares
-            if total > cap:
-                if i * x >= s:
-                    break
-                continue
-            doubled.append(2 * x)
-            yield from grow(i + 1, s + x, squares + x * x, total, has_zero or x == 0)
-            doubled.pop()
+        for x in range(prefix[-1] if prefix else math.isqrt(max(cap, 0)), -1, -1):
+            total = pairs + squares - 2 * s * x + i * x * x
+            if n * total > (i + 1) * cap:
+                break
+            prefix.append(x)
+            grow(i + 1, s + x, squares + x * x, total)
+            prefix.pop()
 
-    numerator = build_qseries(ring, delta, order, grow(0, 0, 0, 0, False))
+    grow(0, 0, 0, 0)
+    numerator = build_qseries(ring, delta, order, (
+        (Fraction(pairs, two_n), ring.symmetrized(reps)) for pairs, reps in orbits.items()
+    ))
     return numerator * inverse_pochhammer_series(ring, n - 1, order)
 
 
@@ -355,9 +364,10 @@ def kostka_foulkes(lam, n=None):
 def kostka_rhs(N, n):
     """sum over n-part compositions of q^(sum k_i(k_i-1)/2) [N; k]_q x^k,
     as its coefficients ``{doubled exponent vector: QPoly}`` at the
-    partitions of N padded to n parts.  Both the q-multinomial and the
-    shift are symmetric in k, so the sum is symmetric in x and its
-    coefficient at any composition is the one at its sorted partition."""
+    partitions of N padded to n parts, listed in lexicographically
+    decreasing order.  Both the q-multinomial and the shift are symmetric
+    in k, so the sum is symmetric in x and its coefficient at any
+    composition is the one at its sorted partition."""
     if n < 1 or N < 0:
         raise ValueError("need rank n >= 1 and N >= 0")
     padded = (mu.parts + (0,) * (n - mu.length()) for mu in partitions_of(N, max_length=n))
@@ -371,7 +381,8 @@ def kostka_oracle(lam, n=None):
     """Kostka-Foulkes value extracted from the q-multinomial expansion.
 
     Processing partitions in lexicographically decreasing order (which
-    refines dominance), peel with classical tableau-counted Kostka numbers:
+    refines dominance; ``kostka_rhs`` lists them so), peel with classical
+    tableau-counted Kostka numbers:
         K_rhs(lam) = coeff_{x^lam}(rhs) - sum_{mu > lam} K_rhs(mu) K(mu, lam).
     Nothing here touches the strip formula.
     """
@@ -382,12 +393,9 @@ def kostka_oracle(lam, n=None):
         raise ValueError("rank must be positive")
     if lam.length() > n:
         return QPoly()
-    N = lam.size()
-    rhs = kostka_rhs(N, n)
-    shapes = sorted(partitions_of(N, max_length=n), reverse=True)
     extracted = {}
-    for mu in shapes:
-        val = rhs[tuple(2 * mu.part(i) for i in range(1, n + 1))]
+    for vec, val in kostka_rhs(lam.size(), n).items():
+        mu = Partition(v // 2 for v in vec)
         for knu, count in zip(extracted.values(), kostka_numbers(extracted, mu)):
             if count:
                 val = val - knu * count

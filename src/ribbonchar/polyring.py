@@ -404,6 +404,47 @@ class Ring:
                 out[k + e] = get(k + e, 0) + a
         return Laurent._raw(self, {k: c for k, c in out.items() if c})
 
+    def symmetrized(self, vecs):
+        """Sum over ``vecs`` of the monomials x^(w/2), w running over the
+        distinct permutations of each doubled vector.
+
+        As an integer a key is K + sum_j d_j 2**(B*j), plus the parity digit
+        under the relation, and every digit value d_j is linear in w.  So
+        with u_i the key of x_i^(1/2) minus K, the key of x^(w/2) is
+        K + sum_i w_i u_i masked to the key's width: under the relation that
+        sum puts w_n on the parity digit, and once the digits below it are
+        in range the mask reduces it mod 2 (module docstring, "Additive").
+        So a permutation's key is a running sum, built position by position
+        over the permutations grouped by the multiset of values still to
+        place.  One ``pack`` of the sorted vector checks the range of them all: its
+        digits include the extreme ones, the largest and the smallest entry
+        without the relation and max - min with it, where every digit
+        w_i - w_n lies in [-(max - min), max - min].
+        """
+        one, n, wrap = self._one, self.n, self._wrap
+        units = [self.pack([int(i == j) for j in range(n)]) - one for i in range(n)]
+        out = {}
+        get = out.get
+        for vec in vecs:
+            top = sorted(vec, reverse=True)
+            self.pack(top)
+            values = sorted(set(top))
+            level = {tuple(top.count(v) for v in values): [one]}
+            for u in units:
+                after = {}
+                for rest, keys in level.items():
+                    for j, c in enumerate(rest):
+                        if c:
+                            d = values[j] * u
+                            left = rest[:j] + (c - 1,) + rest[j + 1:]
+                            after.setdefault(left, []).extend([k + d for k in keys])
+                level = after
+            for keys in level.values():
+                for k in keys:
+                    k &= wrap
+                    out[k] = get(k, 0) + 1
+        return Laurent._raw(self, out)
+
 
 class Laurent:
     """Multivariate Laurent polynomial in x and q: ``terms`` maps packed

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import partial
-from itertools import accumulate, product
+from itertools import accumulate
 
 from .polyring import (
     Ring,
@@ -247,18 +247,21 @@ def twisted_strips(order):
             m += 1
 
 
-def twisted_decomposition(n, order):
-    """Strip-sum form of the level-1 character, via the determinant."""
-    ring = Ring(n, relation=False)
+def _strip_sum(n, order, character):
+    """Sum of q^t(blocks) character(blocks) over the strip window."""
+    if order < 0:
+        raise ValueError("truncation order must be >= 0")
     return build_qseries(
-        ring,
+        Ring(n, relation=False),
         0,
         order,
-        (
-            (twisted_t_statistic(blocks), sL_determinant(blocks, n))
-            for blocks in twisted_strips(order)
-        ),
+        ((twisted_t_statistic(blocks), character(blocks)) for blocks in twisted_strips(order)),
     )
+
+
+def twisted_decomposition(n, order):
+    """Strip-sum form of the level-1 character, via the determinant."""
+    return _strip_sum(n, order, partial(sL_determinant, n=n))
 
 
 def twisted_character_brute(n, order):
@@ -268,31 +271,35 @@ def twisted_character_brute(n, order):
     block lists within the window enumerate every contributing state; the
     fibers themselves are scanned with the brute-force oracle.
     """
-    ring = Ring(n, relation=False)
-    return build_qseries(
-        ring,
-        0,
-        order,
-        (
-            (twisted_t_statistic(blocks), chi_twisted(blocks, n, method="fiber"))
-            for blocks in twisted_strips(order)
-        ),
-    )
+    return _strip_sum(n, order, partial(chi_twisted, n=n, method="fiber"))
 
 
 def twisted_level1_theta(n, order):
-    """Lattice form: integer shifts of the half-sum vector, graded by
-    sum gamma_i (gamma_i + 1) / 2, over the full q-factorial denominator."""
+    """Lattice form: integer shifts gamma of the half-sum vector, graded by
+    sum gamma_i (gamma_i + 1) / 2, over the full q-factorial denominator.
+
+    The grading is separable, so the numerator is the product
+    prod_i sum_g q^(g(g+1)/2) x_i^(g+1/2) of n one-variable series:
+    expanding the product picks one g per coordinate, which is one gamma,
+    with exponent and monomial the sum and the product of its factors'.
+    The denominator series and every factor have nonnegative q exponents,
+    so a term of degree at most the order takes only factor terms of
+    degree at most the order, and truncating each factor and each partial
+    product there drops nothing the window keeps.  g(g+1)/2 is symmetric
+    under g -> -1-g and grows in g >= 0, so each factor runs over g in
+    [-1-top, top], top the largest g >= 0 with g(g+1)/2 <= order.
+    """
+    if order < 0:
+        raise ValueError("truncation order must be >= 0")
     ring = Ring(n, relation=False)
-    gmax = 1
-    while gmax * (gmax + 1) // 2 <= order:
-        gmax += 1
-
-    def contributions():
-        for gamma in product(range(-gmax - 1, gmax + 1), repeat=n):
-            expo = sum(g * (g + 1) // 2 for g in gamma)
-            if expo <= order:
-                yield expo, ring.monomial(tuple(2 * g + 1 for g in gamma))
-
-    numerator = build_qseries(ring, 0, order, contributions())
-    return numerator * inverse_pochhammer_series(ring, n, order)
+    top = 0
+    while (top + 1) * (top + 2) // 2 <= order:
+        top += 1
+    series = inverse_pochhammer_series(ring, n, order)
+    for i in range(n):
+        series = series * build_qseries(ring, 0, order, (
+            (g * (g + 1) // 2,
+             ring.monomial(tuple(2 * g + 1 if j == i else 0 for j in range(n))))
+            for g in range(-1 - top, top + 1)
+        ))
+    return series

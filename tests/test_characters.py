@@ -256,6 +256,69 @@ def test_theta_matches_float_box():
                 assert eq, (n, k, order, mismatch)
 
 
+def theta_by_coordinates(n, k, order):
+    """The lattice sum by a depth-first search over coordinates, one vector
+    at a time.
+
+    Weight classes are integer vectors a with minimum entry 0 and sum s
+    congruent to k mod n, at exponent (n * sum a_i^2 - s^2) / (2n), the
+    pairwise sum of squared differences over 2n.  Pairing each a_i with a
+    zero entry bounds a_i^2 by that sum, so every entry is at most
+    isqrt(cap) with cap = floor(2n * cutoff).  The pairwise sum over the
+    coordinates fixed so far only grows, and it is convex in the next
+    coordinate, so the scan over that coordinate stops once it is past the
+    minimum and over the cap.
+    """
+    ring = Ring(n, relation=True)
+    delta = conformal_dimension(n, k)
+    cutoff = delta + order
+    two_n = 2 * n
+    cap = math.floor(two_n * cutoff)
+    box = math.isqrt(max(cap, 0))
+    doubled = []
+
+    def grow(i, s, squares, pairs, has_zero):
+        if i == n:
+            yield Fraction(pairs, two_n), ring.monomial(tuple(doubled))
+            return
+        if i < n - 1:
+            xs = range(box + 1)
+        elif has_zero:
+            xs = range((k - s) % n, box + 1, n)
+        else:
+            xs = (0,) if (k - s) % n == 0 else ()
+        for x in xs:
+            total = pairs + i * x * x - 2 * s * x + squares
+            if total > cap:
+                if i * x >= s:
+                    break
+                continue
+            doubled.append(2 * x)
+            yield from grow(i + 1, s + x, squares + x * x, total, has_zero or x == 0)
+            doubled.pop()
+
+    numerator = build_qseries(ring, delta, order, grow(0, 0, 0, 0, False))
+    return numerator * inverse_pochhammer_series(ring, n - 1, order)
+
+
+# the largest order per rank at which the coordinate search stays cheap
+COORDINATE_ORDERS = {1: 12, 2: 14, 3: 9, 4: 7, 5: 6, 6: 5, 7: 4, 8: 3}
+
+
+@pytest.mark.parametrize("n", sorted(COORDINATE_ORDERS))
+def test_orbit_theta_matches_coordinate_search(n):
+    for order in sorted({0, 1, COORDINATE_ORDERS[n]}):
+        for k in range(n):
+            theta = level1_theta(n, k, order)
+            assert theta == theta_by_coordinates(n, k, order), (n, k, order)
+
+
+def test_theta_rejects_negative_order():
+    for n, k in ((1, 0), (3, 1), (10, 5)):
+        with pytest.raises(ValueError, match="truncation order must be >= 0"):
+            level1_theta(n, k, -1)
+
+
 def test_theta_equals_decomposition_large():
     # sizes the full-box strip search needed tens of seconds for
     for n, order in ((4, 10), (5, 8)):

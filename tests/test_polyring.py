@@ -2,7 +2,7 @@ import json
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -684,3 +684,37 @@ def test_sums_of_products_keep_the_range_check():
         assert laurent_dot(ring, [(1, a, b), (-1, b, a)]) == ring.zero()
         assert laurent_dot(ring, [(2, a, b), (1, ring.one(), b), (-2, b, a)]) == b
         assert determinant([[a, a], [b, b]]) == ring.zero()
+
+
+@st.composite
+def symmetrized_cases(draw):
+    """A ring and a few doubled vectors, repeats and shared orbits allowed."""
+    ring = Ring(draw(st.integers(1, 4)), draw(st.booleans()))
+    vec = st.tuples(*[doubled_entries(HALF // 2)] * ring.n)
+    return ring, draw(st.lists(vec, max_size=3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(symmetrized_cases())
+def test_symmetrized_sums_the_distinct_permutations(case):
+    ring, vecs = case
+    expected = ring.from_terms((w, 1) for vec in vecs for w in set(permutations(vec)))
+    assert ring.symmetrized(vecs) == expected
+
+
+def test_symmetrized_checks_the_range_like_pack():
+    raised = set()
+    for relation in (False, True):
+        ring = Ring(3, relation)
+        for vec in ((HALF - 1, 0, 0), (HALF, 0, 0), (0, 0, -HALF), (0, 0, -HALF - 1),
+                    (HALF - 1, 0, 1), (HALF // 2, 0, -HALF // 2),
+                    (HALF // 2 - 1, 1, -HALF // 2)):
+            try:
+                expected = ring.from_terms((w, 1) for w in set(permutations(vec)))
+            except OverflowError:
+                raised.add(relation)
+                with pytest.raises(OverflowError):
+                    ring.symmetrized([vec])
+            else:
+                assert ring.symmetrized([vec]) == expected, (relation, vec)
+    assert raised == {False, True}

@@ -2,7 +2,9 @@ import random
 from itertools import accumulate, product
 from operator import eq
 
-from ribbonchar.polyring import Ring
+import pytest
+
+from ribbonchar.polyring import Ring, build_qseries, inverse_pochhammer_series
 from ribbonchar.shapes import BorderStrip
 from ribbonchar.tableaux import enumerate_L_admissible, signed_alphabet, tableau_weight
 from ribbonchar.twisted import (
@@ -122,6 +124,22 @@ def test_three_way_character_equality():
             assert tab == fib == det, (blocks, n)
 
 
+def test_three_way_character_equality_rank_three():
+    # every block list with parts at most 3 and size at most 5: 28 lists
+    block_lists = [
+        blocks
+        for r in range(6)
+        for blocks in product((1, 2, 3), repeat=r)
+        if sum(blocks) <= 5
+    ]
+    assert len(block_lists) == 28
+    for blocks in block_lists:
+        tab = chi_twisted(blocks, 3)
+        fib = chi_twisted(blocks, 3, method="fiber")
+        det = sL_determinant(blocks, 3)
+        assert tab == fib == det, blocks
+
+
 def test_characters_match_the_object_enumerators():
     # both routes of chi_twisted count weight vectors; the enumerators that
     # build tableaux and configurations are their oracles
@@ -202,11 +220,42 @@ def test_decomposition_equals_theta():
 
 
 def test_decomposition_equals_fiber_sum():
-    for n in (1, 2):
-        dec = twisted_decomposition(n, 5)
-        brute = twisted_character_brute(n, 5)
+    for n, order in ((1, 5), (2, 5), (1, 12), (2, 9), (3, 7)):
+        dec = twisted_decomposition(n, order)
+        brute = twisted_character_brute(n, order)
         eq, mismatch = dec.compare(brute)
-        assert eq, (n, mismatch)
+        assert eq, (n, order, mismatch)
+
+
+def theta_by_box(n, order):
+    """The lattice sum over the box of shifts with every entry in
+    -gmax-1..gmax, each vector of the box filtered by its grading."""
+    ring = Ring(n, relation=False)
+    gmax = 1
+    while gmax * (gmax + 1) // 2 <= order:
+        gmax += 1
+
+    def contributions():
+        for gamma in product(range(-gmax - 1, gmax + 1), repeat=n):
+            expo = sum(g * (g + 1) // 2 for g in gamma)
+            if expo <= order:
+                yield expo, ring.monomial(tuple(2 * g + 1 for g in gamma))
+
+    numerator = build_qseries(ring, 0, order, contributions())
+    return numerator * inverse_pochhammer_series(ring, n, order)
+
+
+def test_product_theta_matches_box():
+    for n, order in ((1, 12), (2, 9), (4, 6), (6, 5)):
+        assert twisted_level1_theta(n, order) == theta_by_box(n, order), (n, order)
+
+
+@pytest.mark.parametrize("route", [twisted_decomposition, twisted_character_brute,
+                                   twisted_level1_theta])
+def test_negative_order_is_rejected(route):
+    for n in (1, 2):
+        with pytest.raises(ValueError, match="truncation order must be >= 0"):
+            route(n, -1)
 
 
 def test_theta_constant_term():
