@@ -66,6 +66,8 @@ def rogers_szego_recursive(N, n):
     with H_0 = 1 and H_{<0} = 0; the prefactor is the exact quotient of
     q-factorials, expanded as a product.
     """
+    if N < 0:
+        raise ValueError("N must be nonnegative")
     key = (N, n)
     got = _RSZ_REC_CACHE.get(key)
     if got is not None:

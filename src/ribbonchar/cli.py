@@ -17,7 +17,7 @@ import time
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import characters, schur, shapes, spectra, twisted
-from .polyring import QSeries, qpoly_to_json
+from .polyring import QPoly, QSeries, qpoly_to_json
 from .polyring import laurent_to_json as _laurent_json
 from .polyring import qseries_to_json as _qseries_json
 from .shapes import BorderStrip, Partition, SkewDiagram
@@ -58,10 +58,8 @@ def report(identity, parameters, lhs, rhs, started):
     else:
         equal = lhs == rhs
         window = None
-        first = None if equal else {
-            "lhs": laurent_to_json(lhs),
-            "rhs": laurent_to_json(rhs),
-        }
+        side = qpoly_to_json if isinstance(lhs, QPoly) else laurent_to_json
+        first = None if equal else {"lhs": side(lhs), "rhs": side(rhs)}
     doc = {
         "identity": identity,
         "parameters": parameters,
@@ -138,7 +136,7 @@ def cmd_spectrum(args):
         if args.sector is not None and point_sector != args.sector:
             continue
         bs = BorderStrip(blocks)
-        fiber_size = schur.schur_strip_cached(blocks, args.n).at_x_ones().at(1)
+        fiber_size = schur.schur_strip_cached(blocks, args.n).at_x_ones().at()
         rows.append(
             {
                 "blocks": list(blocks),

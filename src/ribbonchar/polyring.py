@@ -11,12 +11,14 @@ Representation
   per monomial x^(v/2) q^e.  Exponents of x are DOUBLED (v_i is twice the
   exponent of x_i), so half-integer exponents stay integers.
 * ``Ring`` fixes the rank n, whether the relation ``x_1*...*x_n == 1`` is
-  imposed, and the packing of (v, e) into a key.  Under the relation the
+  imposed, and the packing of (v, e) into a key.  There is one ``Ring`` per
+  (n, relation), so contexts compare by identity.  Under the relation the
   printed representative of a monomial (``Ring.canon``) is v shifted by a
   multiple of (2,...,2) until its minimum entry lies in {0, 1}.
 * A ``QSeries`` is ``q**offset`` times one Laurent polynomial whose q
   exponents all lie in 0..order, with a rational offset and an inclusive
-  truncation order.  Its per-exponent coefficients are derived on demand.
+  truncation order.  Its ring is its value's, and its per-exponent
+  coefficients are derived on demand.
 
 The packing.  Let B = 32, BIAS = 2**(B-1) and H = 2**(B-2).  A key is a
 nonnegative integer with base-2**B digits D_0, D_1, ...:
@@ -181,11 +183,9 @@ class QPoly:
         """Substitute q -> 1/q."""
         return QPoly._raw({-e: v for e, v in self.c.items()})
 
-    def at(self, value=1):
-        """Evaluate at a numeric q."""
-        if value == 1:
-            return sum(self.c.values())
-        return sum(v * Fraction(value) ** e for e, v in self.c.items())
+    def at(self):
+        """Evaluate at q = 1."""
+        return sum(self.c.values())
 
     def min_exp(self):
         return min(self.c) if self.c else None
@@ -293,26 +293,25 @@ class Ring:
 
     __slots__ = ("n", "relation", "_one", "_wrap")
 
-    def __init__(self, n, relation=False):
-        if n < 1:
-            raise ValueError("rank must be positive")
-        self.n = n
-        self.relation = bool(relation)
-        # n + 1 biased digits without the relation, n (and the parity digit)
-        # with it; _one is the key K of x^0 q^0, _wrap masks the parity digit
-        biased = n if self.relation else n + 1
-        self._one = sum(_BIAS << (DIGIT_BITS * i) for i in range(biased))
-        self._wrap = (1 << (DIGIT_BITS * biased + self.relation)) - 1
+    # One object per context, so identity is equality.  Sharing the table is
+    # safe: its entries are immutable and keyed by their whole value, one per
+    # (n, relation) asked for, so only ``is`` tells a shared one from a new one.
+    _made = {}
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Ring)
-            and self.n == other.n
-            and self.relation == other.relation
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.relation))
+    def __new__(cls, n, relation=False):
+        key = (n, bool(relation))
+        self = cls._made.get(key)
+        if self is None:
+            if n < 1:
+                raise ValueError("rank must be positive")
+            self = cls._made[key] = object.__new__(cls)
+            self.n, self.relation = key
+            # n + 1 biased digits without the relation, n and the parity digit
+            # with it; _one is the key K of x^0 q^0, _wrap masks the parity digit
+            biased = n if self.relation else n + 1
+            self._one = sum(_BIAS << (DIGIT_BITS * i) for i in range(biased))
+            self._wrap = (1 << (DIGIT_BITS * biased + self.relation)) - 1
+        return self
 
     def __repr__(self):
         return f"Ring(n={self.n}, relation={self.relation})"
@@ -460,7 +459,7 @@ class Laurent:
         return p
 
     def _check(self, other):
-        if self.ring != other.ring:
+        if self.ring is not other.ring:
             raise RingContextError(f"mixed contexts {self.ring} and {other.ring}")
 
     def __bool__(self):
@@ -471,7 +470,7 @@ class Laurent:
             return self.terms == ({self.ring._one: other} if other else {})
         if not isinstance(other, Laurent):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return self.ring is other.ring and self.terms == other.terms
 
     def __add__(self, other):
         if isinstance(other, int):
@@ -611,7 +610,7 @@ class Laurent:
 
     def at_q_one(self):
         """Evaluate q at 1, leaving integer coefficients."""
-        return self.ring.from_terms((v, c.at(1)) for v, c in self._by_vector())
+        return self.ring.from_terms((v, c.at()) for v, c in self._by_vector())
 
     def to_ring(self, ring):
         """Recanonicalize into another ring of the same rank."""
@@ -710,7 +709,7 @@ def laurent_dot(ring, products):
     def blocks():
         for c, a, b in products:
             for value in (a, b):
-                if value.ring is not ring and value.ring != ring:
+                if value.ring is not ring:
                     raise RingContextError(f"mixed contexts {ring} and {value.ring}")
             if c == 1:
                 yield a.terms.items(), list(b.terms.items())
@@ -718,19 +717,6 @@ def laurent_dot(ring, products):
                 yield a.terms.items(), [(k, c * v) for k, v in b.terms.items()]
 
     return Laurent._raw(ring, _dot(ring, blocks()))
-
-
-def laurent_sum(ring, values):
-    """Sum of Laurent values of one ring, accumulated in place into one term
-    dict instead of copying a running total on every addition."""
-    acc = {}
-    get = acc.get
-    for value in values:
-        if value.ring != ring:
-            raise RingContextError(f"mixed contexts {ring} and {value.ring}")
-        for k, c in value.terms.items():
-            acc[k] = get(k, 0) + c
-    return Laurent._raw(ring, {k: c for k, c in acc.items() if c})
 
 
 def determinant(matrix):
@@ -753,7 +739,7 @@ def determinant(matrix):
     ring = matrix[0][0].ring
     for row in matrix:
         for entry in row:
-            if entry.ring != ring:
+            if entry.ring is not ring:
                 raise RingContextError("matrix entries in mixed contexts")
     memo = {}
 
@@ -785,17 +771,18 @@ class QSeries:
     the order.  ``build_qseries`` is the validated way to make one.
     """
 
-    __slots__ = ("ring", "offset", "value", "order")
+    __slots__ = ("offset", "value", "order")
 
-    def __init__(self, ring, offset, value, order):
+    def __init__(self, offset, value, order):
         if order < 0:
             raise ValueError("truncation order must be >= 0")
-        if value.ring != ring:
-            raise RingContextError("series value in wrong context")
-        self.ring = ring
         self.offset = Fraction(offset)
         self.value = value
         self.order = order
+
+    @property
+    def ring(self):
+        return self.value.ring
 
     @property
     def coeffs(self):
@@ -807,8 +794,6 @@ class QSeries:
         return [Laurent._raw(self.ring, t) for t in out]
 
     def __add__(self, other):
-        if self.ring != other.ring:
-            raise RingContextError("series in different contexts")
         d = other.offset - self.offset
         if d.denominator != 1:
             raise ValueError("series offsets differ by a non-integer")
@@ -816,21 +801,20 @@ class QSeries:
         d = abs(int(d))
         order = min(lo.order, hi.order + d)
         value = lo.value + (hi.value * QPoly.term(d) if d else hi.value)
-        return QSeries(self.ring, lo.offset, value.truncated(order), order)
+        return QSeries(lo.offset, value.truncated(order), order)
 
     def __neg__(self):
-        return QSeries(self.ring, self.offset, -self.value, self.order)
+        return QSeries(self.offset, -self.value, self.order)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, QSeries):
-            if self.ring != other.ring:
-                raise RingContextError("series in different contexts")
+            self.value._check(other.value)  # _product does not check
             order = min(self.order, other.order)
             value = Laurent._raw(self.ring, self.value._product(other.value, order))
-            return QSeries(self.ring, self.offset + other.offset, value, order)
+            return QSeries(self.offset + other.offset, value, order)
         if isinstance(other, QPoly):
             other = self.ring.monomial((0,) * self.ring.n, other)
         if isinstance(other, Laurent):
@@ -839,7 +823,7 @@ class QSeries:
         elif not isinstance(other, int):
             return NotImplemented
         # a Laurent scalar in another ring raises in Laurent.__mul__
-        return QSeries(self.ring, self.offset, self.value * other, self.order)
+        return QSeries(self.offset, self.value * other, self.order)
 
     __rmul__ = __mul__
 
@@ -847,8 +831,7 @@ class QSeries:
         if not isinstance(other, QSeries):
             return NotImplemented
         return (
-            self.ring == other.ring
-            and self.offset == other.offset
+            self.offset == other.offset
             and self.order == other.order
             and self.value == other.value
         )
@@ -861,8 +844,6 @@ class QSeries:
         first mismatch is the lowest q power of the difference, with the
         two coefficients there.
         """
-        if self.ring != other.ring:
-            raise RingContextError("series in different contexts")
         if self.offset != other.offset or self.order != other.order:
             raise ValueError(
                 f"window mismatch: ({self.offset}, {self.order}) vs "
@@ -906,7 +887,7 @@ def build_qseries(ring, offset, order, contributions):
     get = acc.get
     digit = _DIGIT
     for expo, value in contributions:
-        if value.ring != ring:
+        if value.ring is not ring:
             raise RingContextError("series contribution in wrong context")
         e = expo if isinstance(expo, (int, Fraction)) else Fraction(expo)
         b = e.denominator
@@ -921,8 +902,7 @@ def build_qseries(ring, offset, order, contributions):
                 raise ValueError(f"q power {offset + e} leaves the window")
             k += j
             acc[k] = get(k, 0) + c
-    value = Laurent._raw(ring, {k: c for k, c in acc.items() if c})
-    return QSeries(ring, offset, value, order)
+    return QSeries(offset, Laurent._raw(ring, {k: c for k, c in acc.items() if c}), order)
 
 
 def qpoly_to_json(p):
@@ -986,6 +966,4 @@ def inverse_pochhammer_series(ring, power, order):
             # multiply by 1/(1 - q^j) = 1 + q^j + q^{2j} + ...
             for d in range(j, order + 1):
                 coeffs[d] += coeffs[d - j]
-    return QSeries(
-        ring, 0, ring.monomial((0,) * ring.n, QPoly(dict(enumerate(coeffs)))), order
-    )
+    return QSeries(0, ring.monomial((0,) * ring.n, QPoly(dict(enumerate(coeffs)))), order)

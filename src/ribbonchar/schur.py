@@ -17,7 +17,7 @@ _STRAIGHT_CACHE = {}
 
 def e_m(ring, m):
     """e_m of the ring generators; 0 outside 0..n, cached per ring."""
-    key = (ring.n, ring.relation, m)
+    key = (ring, m)
     got = _E_CACHE.get(key)
     if got is None:
         got = _E_CACHE[key] = elementary_symmetric(m, ring.gens())

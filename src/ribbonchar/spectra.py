@@ -14,7 +14,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
 
-from .polyring import QPoly, Ring, build_qseries, laurent_sum
+from .polyring import QPoly, Ring, build_qseries, laurent_dot
 from .shapes import BorderStrip, blocks_from_ones
 from .tableaux import STANDARD, Tableau, strip_cell_order
 from . import schur as _schur
@@ -289,6 +289,9 @@ def enumerate_Sp_N(N, n):
 
 def motifs(N, n):
     """Binary words d_1..d_{N-1} with fewer than n consecutive ones."""
+    if N < 1:
+        raise ValueError("N must be positive")
+
     def extend(word, run):
         if len(word) == N - 1:
             yield tuple(word)
@@ -301,7 +304,7 @@ def motifs(N, n):
             yield from extend(word, run + 1)
             word.pop()
 
-    yield from extend([], 0)
+    return extend([], 0)
 
 
 def motif_to_blocks(d, n):
@@ -349,6 +352,8 @@ def Z_vertex(N, n, relation=False):
     Each block list contributes q^(excitation) times the Schur function of
     the size-N strip read off the blocks (a final block n keeps its column).
     """
+    if N < 0:
+        raise ValueError("N must be nonnegative")
     ring = Ring(n, relation)
     order = polychronakos_ground_energy(N, n)
     return build_qseries(
@@ -375,9 +380,11 @@ def Z_vertex_direct(N, n, relation=False):
     The last letter meets the tail letter 1 at position N, and the
     sector-(N mod n) ground constant is subtracted.  Only the local energy
     is read, never a strip or a tableau, so this stays independent of the
-    strip sum in ``Z_vertex``.  It costs 2*N*n Laurent products and N*n
-    in-place sums of n values instead of n^N configurations.
+    strip sum in ``Z_vertex``.  It costs N*n q shifts and N*n sums of n
+    products (``laurent_dot``) instead of n^N configurations.
     """
+    if N < 0:
+        raise ValueError("N must be nonnegative")
     ring = Ring(n, relation)
     order = polychronakos_ground_energy(N, n)
     letters = range(1, n + 1)
@@ -388,16 +395,11 @@ def Z_vertex_direct(N, n, relation=False):
         for i in range(1, N):
             # H is 0 or 1, so each state[a] is raised by q^i once per step
             raised = {a: state[a] * QPoly.term(i) for a in letters}
-            state = {
-                b: laurent_sum(
-                    ring,
-                    (raised[a] if local_energy(a, b) else state[a] for a in letters),
-                )
-                * x[b]
-                for b in letters
-            }
-        total = laurent_sum(
-            ring, (state[a] * QPoly.term(N * local_energy(a, 1)) for a in letters)
-        )
+            state = {b: laurent_dot(ring, (
+                (1, raised[a] if local_energy(a, b) else state[a], x[b]) for a in letters
+            )) for b in letters}
+        total = laurent_dot(ring, (
+            (1, state[a], ring.one() * QPoly.term(N * local_energy(a, 1))) for a in letters
+        ))
     ground = sum(i * ground_energy_value(i, N % n, n) for i in range(1, N + 1))
     return build_qseries(ring, 0, order, [(0, total * QPoly.term(-ground))])

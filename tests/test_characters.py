@@ -35,7 +35,7 @@ from ribbonchar.polyring import (
 )
 from ribbonchar.schur import schur_straight_cached, schur_strip_cached
 from ribbonchar.shapes import BorderStrip, Partition, partitions_of, t_statistic
-from ribbonchar.spectra import Z_vertex_direct, enumerate_Sp_N
+from ribbonchar.spectra import Z_vertex, Z_vertex_direct, enumerate_Sp_N, motifs
 from ribbonchar.tableaux import count_LR
 
 
@@ -319,6 +319,21 @@ def test_theta_rejects_negative_order():
             level1_theta(n, k, -1)
 
 
+@pytest.mark.parametrize("route", [Z_vertex, Z_vertex_direct, rogers_szego_recursive,
+                                   rogers_szego, polychronakos_partition])
+def test_negative_length_is_rejected(route):
+    # every route to the length-N sums refuses N < 0 alike, not with an empty sum
+    for n in (1, 2, 3):
+        with pytest.raises(ValueError, match="N must be nonnegative"):
+            route(-1, n)
+
+
+def test_motifs_reject_length_below_one():
+    for N in (0, -1):
+        with pytest.raises(ValueError, match="N must be positive"):
+            motifs(N, 2)
+
+
 def test_theta_equals_decomposition_large():
     # sizes the full-box strip search needed tens of seconds for
     for n, order in ((4, 10), (5, 8)):
@@ -428,8 +443,8 @@ def test_kostka_dimension_sum():
             for lam in all_partitions_of(N):
                 if lam.length() > n:
                     continue
-                kq = kostka_foulkes(lam, n).polynomial.at(1)
-                dim = schur_straight_cached(lam, n).at_x_ones().at(1)
+                kq = kostka_foulkes(lam, n).polynomial.at()
+                dim = schur_straight_cached(lam, n).at_x_ones().at()
                 total += kq * dim
             assert total == n ** N, (n, N)
 

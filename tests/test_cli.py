@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 import ribbonchar
 from ribbonchar import characters, cli
 from ribbonchar.cli import dumps_indented, laurent_to_json, main
-from ribbonchar.polyring import Ring, build_qseries, laurent_from_json
-from ribbonchar.shapes import BorderStrip
+from ribbonchar.polyring import QPoly, Ring, build_qseries, laurent_from_json, qpoly_from_json
+from ribbonchar.shapes import BorderStrip, Partition
 from ribbonchar.spectra import SpectrumPoint, enumerate_Sp_N, enumerate_fiber, weight
 
 
@@ -226,6 +226,24 @@ def test_verify_all_quick(capsys):
     doc = json.loads(out)
     assert doc["equal"] is True
     assert len(doc["checks"]) >= 8
+
+
+def test_verify_all_reports_kostka_mismatch(capsys, monkeypatch):
+    # the Kostka check compares two q-polynomials; a fault there must be a
+    # mismatch with both sides in the report, not a crash
+    real_oracle = characters.kostka_oracle
+    monkeypatch.setattr(characters, "kostka_oracle",
+                        lambda *args: real_oracle(*args) + QPoly.term(1))
+    code, out, _ = run(capsys, "verify", "all", "--quick")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["equal"] is False
+    (check,) = [c for c in doc["checks"] if not c["equal"]]
+    assert check["identity"] == "kostka_strip_sum_equals_extraction"
+    first = check["first_mismatch"]
+    lhs, rhs = qpoly_from_json(first["lhs"]), qpoly_from_json(first["rhs"])
+    assert lhs == real_oracle(Partition((3, 2, 1)))
+    assert rhs - lhs == QPoly.term(1)
 
 
 # strings built from the fragments an encoder can get wrong

@@ -50,6 +50,27 @@ def test_ring_identities():
     assert not (p - p)
 
 
+def test_ring_is_one_object_per_context():
+    for n in range(1, 6):
+        for relation in (False, True):
+            assert Ring(n, relation) is Ring(n, relation)
+            assert Ring(n, relation=relation).relation is relation
+        assert Ring(n, relation=1) is Ring(n, True)
+        assert Ring(n) is Ring(n, False) is not Ring(n, True)
+        assert Ring(n) is not Ring(n + 1)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="rank must be positive"):
+            Ring(n)
+
+
+def test_series_ring_is_its_value_ring():
+    for relation in (False, True):
+        ring = Ring(2, relation)
+        series = build_qseries(ring, Fraction(1, 4), 2, [(Fraction(5, 4), ring.gen(1))])
+        for s in (series, series + series, -series, series * series, series * 3):
+            assert s.ring is s.value.ring is ring
+
+
 def test_context_mismatch():
     with pytest.raises(RingContextError):
         Ring(2).one() + Ring(3).one()
@@ -120,7 +141,7 @@ def test_gaussian_multinomial():
             parts.append(k)
             rest -= k
         parts = parts or [0]
-        value = gaussian_multinomial(N, parts).at(1)
+        value = gaussian_multinomial(N, parts).at()
         expected = math.factorial(N)
         for k in parts:
             expected //= math.factorial(k)

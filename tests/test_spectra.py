@@ -377,5 +377,5 @@ def test_Z_dimension_count():
         series = Z(N, n)
         total = 0
         for c in series.coeffs:
-            total += c.at_x_ones().at(1)
+            total += c.at_x_ones().at()
         assert total == n ** N, (Z.__name__, n, N)

@@ -101,9 +101,9 @@ def test_t_characters():
     assert t_character(2, 1) == e1
     assert t_character(2, 2) == sigma_character(2) ** 2 - e1
     # dimensions
-    assert sigma_character(1).at_x_ones().at(1) == 2
-    assert (sigma_character(2) ** 2).at_x_ones().at(1) == 16
-    assert t_character(2, 1).at_x_ones().at(1) == 5
+    assert sigma_character(1).at_x_ones().at() == 2
+    assert (sigma_character(2) ** 2).at_x_ones().at() == 16
+    assert t_character(2, 1).at_x_ones().at() == 5
 
 
 def test_three_way_character_equality():
