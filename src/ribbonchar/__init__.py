@@ -40,7 +40,6 @@ from .tableaux import (
 )
 from .schur import (
     lr_expand,
-    schur_border_strip_det,
     schur_conjugate,
     schur_enumerative,
     schur_jacobi_trudi,

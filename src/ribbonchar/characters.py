@@ -17,7 +17,7 @@ from .polyring import (
     laurent_dot,
 )
 from .shapes import BorderStrip, Partition, partitions_of
-from .spectra import Z_vertex, enumerate_Sp_N, polychronakos_ground_energy
+from .spectra import enumerate_Sp_N, polychronakos_ground_energy
 from .tableaux import count_LR, kostka_numbers, lattice_column, lattice_start
 from . import schur as _schur
 
@@ -295,11 +295,6 @@ def polychronakos_partition(N, n, relation=False):
     e0 = polychronakos_ground_energy(N, n)
     flipped = rogers_szego(N, n).to_ring(ring).subs_q_inverse()
     return build_qseries(ring, 0, e0, [(e0, flipped)])
-
-
-def polychronakos_strip_form(N, n, relation=False):
-    """The same partition function as a strip sum over block lists."""
-    return Z_vertex(N, n, relation)
 
 
 class KostkaResult:

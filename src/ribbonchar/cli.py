@@ -118,7 +118,7 @@ def cmd_schur(args):
             strip = shapes.strip_from_skew(shape)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-        poly = schur.schur_border_strip_det(strip, args.n, args.relation)
+        poly = schur.schur_strip_cached(strip.columns, args.n, args.relation)
     else:
         raise UsageError(f"unknown method {method!r}")
     doc = {"shape": str(shape), "n": args.n, "method": method}
@@ -258,7 +258,7 @@ def cmd_verify(args):
     elif args.what == "polychronakos":
         started = time.perf_counter()
         lhs = characters.polychronakos_partition(args.N, args.n)
-        rhs = characters.polychronakos_strip_form(args.N, args.n)
+        rhs = spectra.Z_vertex(args.N, args.n)
         checks.append(report("reversed_multinomial_equals_strip_sum", {"n": args.n, "N": args.N}, lhs, rhs, started))
         started = time.perf_counter()
         direct = spectra.Z_vertex_direct(args.N, args.n)
@@ -291,7 +291,7 @@ def verify_all(args):
         started = time.perf_counter()
         checks.append(report("reversed_multinomial_equals_strip_sum", {"n": n, "N": N},
                              characters.polychronakos_partition(N, n),
-                             characters.polychronakos_strip_form(N, n), started))
+                             spectra.Z_vertex(N, n), started))
     started = time.perf_counter()
     kres = characters.kostka_foulkes(Partition((3, 2, 1)))
     checks.append(report("kostka_strip_sum_equals_extraction", {"lambda": "3,2,1"},

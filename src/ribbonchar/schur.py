@@ -1,9 +1,8 @@
 """Skew Schur functions by tableau enumeration, by the elementary-symmetric
-determinant, and by the border-strip determinant, plus the expansion into
-straight Schur functions."""
+determinant, and, for border strips, by the first-row expansion of the strip's
+Hessenberg determinant memoised on prefixes, plus the expansion into straight
+Schur functions."""
 from __future__ import annotations
-
-from itertools import accumulate
 
 from .polyring import Ring, determinant, elementary_symmetric, laurent_dot
 from .shapes import Partition, SkewDiagram, is_border_strip, partitions_of, strip_from_skew
@@ -43,25 +42,6 @@ def schur_jacobi_trudi(shape, n, relation=False):
     return determinant(matrix)
 
 
-def schur_border_strip_det(bs, n, relation=False):
-    """Hessenberg determinant over column data of a border strip.
-
-    With prefix sums M_t of the column lengths, entry (i, j) is
-    e_{M_{r+1-i} - M_{r-j}}: the first row collects trailing column sums and
-    the subdiagonal is all ones.  The empty strip gives 1.
-    """
-    ring = Ring(n, relation)
-    r = len(bs.columns)
-    if r == 0:
-        return ring.one()
-    psum = list(accumulate(bs.columns, initial=0))
-    matrix = [
-        [e_m(ring, psum[r + 1 - i] - psum[r - j]) for j in range(1, r + 1)]
-        for i in range(1, r + 1)
-    ]
-    return determinant(matrix)
-
-
 def schur_strip_cached(blocks, n, relation=False):
     """Border-strip Schur via the first-row expansion, memoized on prefixes.
 
@@ -74,6 +54,8 @@ def schur_strip_cached(blocks, n, relation=False):
     got = _STRIP_CACHE.get(key)
     if got is not None:
         return got
+    if any(m < 1 for m in blocks):
+        raise ValueError("column lengths must be positive")
     ring = Ring(n, relation)
     if not blocks:
         out = ring.one()

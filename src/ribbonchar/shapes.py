@@ -177,26 +177,16 @@ def is_rank(sd, n):
 
 
 def is_border_strip(sd):
-    """Connected with no 2x2 block of cells; the empty diagram qualifies."""
-    cells = set(sd.cells())
-    if not cells:
-        return True
-    for (r, c) in cells:
-        if (r, c + 1) in cells and (r + 1, c) in cells and (r + 1, c + 1) in cells:
-            return False
-    # flood fill over side adjacency
-    seen = set()
-    stack = [next(iter(cells))]
-    while stack:
-        cur = stack.pop()
-        if cur in seen:
-            continue
-        seen.add(cur)
-        r, c = cur
-        for nb in ((r + 1, c), (r - 1, c), (r, c + 1), (r, c - 1)):
-            if nb in cells and nb not in seen:
-                stack.append(nb)
-    return seen == cells
+    """Connected with no 2x2 block of cells; the empty diagram qualifies.
+
+    Rows i and i+1 share the columns inner_i+1..outer_(i+1), none if either
+    is empty.  Cells of two rows touch only across consecutive rows, so the
+    cells are connected iff each row from the first nonempty one to the last
+    shares a column with the next; a second shared column closes a 2x2 block.
+    """
+    lam, mu = sd.outer, sd.inner
+    rows = [i for i in range(1, lam.length() + 1) if lam.part(i) > mu.part(i)]
+    return not rows or all(lam.part(i + 1) == mu.part(i) + 1 for i in range(rows[0], rows[-1]))
 
 
 class BorderStrip:
@@ -254,6 +244,13 @@ def blocks_from_ones(ones):
     """Block list of a 0/1 sequence given the ascending positions
     (1-indexed) of its ones: each block runs up to and including a one."""
     return tuple(p - q for q, p in zip((0, *ones), ones))
+
+
+def block_bits(blocks, length):
+    """The first ``length`` entries of the 0/1 sequence whose ones sit at the
+    prefix sums of ``blocks``: the inverse of ``blocks_from_ones``."""
+    psums = set(accumulate(blocks))
+    return [1 if i in psums else 0 for i in range(1, length + 1)]
 
 
 def strip_from_skew(sd):

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .polyring import QPoly, Ring, build_qseries, laurent_dot
-from .shapes import BorderStrip, blocks_from_ones
+from .shapes import BorderStrip, block_bits, blocks_from_ones
 from .tableaux import STANDARD, Tableau, strip_cell_order
 from . import schur as _schur
 
@@ -90,19 +90,6 @@ class SpectrumPoint:
     def size(self):
         return sum(self.blocks)
 
-    def value(self, i):
-        """The i-th local energy (1-indexed) of the encoded sequence."""
-        m = self.size()
-        if i <= m:
-            psum = 0
-            for b in self.blocks:
-                psum += b
-                if i == psum:
-                    return 1
-                if i < psum:
-                    return 0
-        return 1 if (i - m) % self.n == 0 else 0
-
     def __eq__(self, other):
         return (
             isinstance(other, SpectrumPoint)
@@ -117,9 +104,10 @@ class SpectrumPoint:
         return f"SpectrumPoint({list(self.blocks)}, n={self.n})"
 
 
-def ground_energy_value(i, k, n):
-    """The i-th local energy of the sector-k ground configuration."""
-    return 1 if i % n == k % n else 0
+def ground_sum(m, n):
+    """Sum of the i <= m with i = m (mod n): the energy sum_i i*h_i of the
+    first m local energies of the sector-(m mod n) ground configuration."""
+    return sum(range(m, 0, -n))
 
 
 def h_map(s):
@@ -140,12 +128,10 @@ def h_map(s):
 
 def energy(s):
     """Finite sum of i * (local energy - ground local energy)."""
-    n, k = s.n, s.sector()
     m = len(s.prefix)
     return sum(
-        i * (local_energy(s.letter(i), s.letter(i + 1)) - ground_energy_value(i, k, n))
-        for i in range(1, m + 1)
-    )
+        i * local_energy(s.letter(i), s.letter(i + 1)) for i in range(1, m + 1)
+    ) - ground_sum(m, s.n)
 
 
 def weight(s):
@@ -236,7 +222,7 @@ def local_energy_words(letters, H, bits, tail):
 def fiber_words(h):
     """Letter prefixes whose local energies, followed by the tail letter 1,
     are those of the spectrum point, as bare words in lexicographic order."""
-    target = [h.value(i) for i in range(1, h.size() + 1)]
+    target = block_bits(h.blocks, h.size())
     return local_energy_words(range(1, h.n + 1), local_energy, target, 1)
 
 
@@ -268,13 +254,7 @@ def fiber_character(h, relation=True):
 
 def excitation_energy(blocks, n):
     """sum_i i*(h_i - ground_i) for a block list (final block n allowed)."""
-    m = sum(blocks)
-    k = m % n
-    psums = set(accumulate(blocks))
-    return sum(
-        i * ((1 if i in psums else 0) - ground_energy_value(i, k, n))
-        for i in range(1, m + 1)
-    )
+    return sum(accumulate(blocks)) - ground_sum(sum(blocks), n)
 
 
 def enumerate_Sp_N(N, n):
@@ -401,5 +381,4 @@ def Z_vertex_direct(N, n, relation=False):
         total = laurent_dot(ring, (
             (1, state[a], ring.one() * QPoly.term(N * local_energy(a, 1))) for a in letters
         ))
-    ground = sum(i * ground_energy_value(i, N % n, n) for i in range(1, N + 1))
-    return build_qseries(ring, 0, order, [(0, total * QPoly.term(-ground))])
+    return build_qseries(ring, 0, order, [(0, total * QPoly.term(-ground_sum(N, n)))])

@@ -15,7 +15,7 @@ from .polyring import (
     elementary_symmetric,
     inverse_pochhammer_series,
 )
-from .shapes import BorderStrip, blocks_from_ones
+from .shapes import BorderStrip, block_bits, blocks_from_ones
 from .spectra import local_energy_words
 from .tableaux import (
     SIGNED,
@@ -123,9 +123,7 @@ def _fiber_words(blocks, n):
     there, so prefixes longer than p_r + n + 1 never occur; the scan length
     below is safely beyond that.
     """
-    psums = set(accumulate(blocks))
-    limit = sum(blocks) + n + 2
-    target = [1 if i in psums else 0 for i in range(1, limit + 1)]
+    target = block_bits(blocks, sum(blocks) + n + 2)
     H = partial(local_energy_twisted, n=n)
     return local_energy_words(signed_alphabet(n), H, target, 0)
 
@@ -140,10 +138,12 @@ def enumerate_twisted_fiber(blocks, n):
 def chi_twisted(blocks, n, method="tableaux"):
     """Character of the fiber over a block list, by pinned-tableau
     enumeration or by the brute-force fiber scan.  Both count weight
-    vectors, building neither tableaux nor configurations."""
+    vectors, building neither tableaux nor configurations.  A block below 1
+    raises ``ValueError`` (from ``BorderStrip``) under either method."""
     ring = Ring(n, relation=False)
+    strip = kappa_twisted(blocks, n)
     if method == "tableaux":
-        shape, pinned = _pinned_strip(kappa_twisted(blocks, n), n)
+        shape, pinned = _pinned_strip(strip, n)
         weights = filling_weights(shape, n, SIGNED, pinned)
     elif method == "fiber":
         weights = Counter(_word_weight(word, n) for word in _fiber_words(blocks, n))
@@ -210,7 +210,7 @@ def t_character(n, m):
 def sL_determinant(blocks, n):
     """Closed form of the fiber character: sigma times the bordered
     Hessenberg determinant in the t characters."""
-    blocks = tuple(blocks)
+    blocks = BorderStrip(blocks).columns  # rejects blocks below 1
     ring = Ring(n, relation=False)
     r = len(blocks)
     psum = list(accumulate(blocks, initial=0))

@@ -17,12 +17,10 @@ from ribbonchar.characters import (
     level1_decomposition,
     level1_theta,
     polychronakos_partition,
-    polychronakos_strip_form,
     rogers_szego,
 )
 from ribbonchar.polyring import QPoly, Ring
 from ribbonchar.schur import (
-    schur_border_strip_det,
     schur_conjugate,
     schur_enumerative,
     schur_jacobi_trudi,
@@ -32,6 +30,7 @@ from ribbonchar.schur import (
 from ribbonchar.shapes import BorderStrip, Partition, SkewDiagram, complement, drinfeld_polynomials
 from ribbonchar.spectra import (
     SpectrumPoint,
+    Z_vertex,
     Z_vertex_direct,
     enumerate_Sp_N,
     enumerate_fiber,
@@ -51,6 +50,7 @@ from ribbonchar.tableaux import (
     tableau_weight,
 )
 from ribbonchar import twisted as tw
+from test_schur import strip_matrix_det
 
 
 def announce(number, label):
@@ -146,14 +146,15 @@ def test_criterion_03_schur_cross_oracles():
 
         for r in range(0, 5):
             for cols in strips(r):
-                det = schur_border_strip_det(BorderStrip(cols), n)
+                det = strip_matrix_det(BorderStrip(cols), n)
                 assert det == schur_jacobi_trudi(BorderStrip(cols).realize(), n)
+                assert det == schur_strip_cached(cols, n)
                 # first-row expansion
                 acc = ring.zero()
                 idx = 0
                 for i in range(1, r + 1):
                     idx += cols[r - i]
-                    term = e_m(ring, idx) * schur_border_strip_det(
+                    term = e_m(ring, idx) * strip_matrix_det(
                         BorderStrip(cols[: r - i]), n
                     )
                     acc = acc + (term if i % 2 == 1 else -term)
@@ -214,7 +215,7 @@ def test_criterion_06_polychronakos_equivalence():
     for n in (2, 3):
         for N in range(0, 7):
             h_form = polychronakos_partition(N, n)
-            strip_form = polychronakos_strip_form(N, n)
+            strip_form = Z_vertex(N, n)
             direct = Z_vertex_direct(N, n)
             assert h_form.compare(strip_form)[0], (n, N)
             assert strip_form.compare(direct)[0], (n, N)

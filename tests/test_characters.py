@@ -21,7 +21,6 @@ from ribbonchar.characters import (
     level1_decomposition,
     level1_theta,
     polychronakos_partition,
-    polychronakos_strip_form,
     rogers_szego,
     rogers_szego_recursive,
 )
@@ -357,7 +356,7 @@ def test_polychronakos():
     for n in (2, 3):
         for N in range(0, 6):
             a = polychronakos_partition(N, n)
-            b = polychronakos_strip_form(N, n)
+            b = Z_vertex(N, n)
             c = Z_vertex_direct(N, n)
             assert a.compare(b)[0] and b.compare(c)[0], (n, N)
 

@@ -25,6 +25,22 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def test_schur_strip_method_matches_jt(capsys):
+    strips = [blocks for size in range(6) for blocks in enumerate_Sp_N(size, 5)]
+    assert len(strips) == 32
+    for blocks in strips:
+        shape = str(BorderStrip(blocks).realize())
+        for n in ("1", "2", "3"):
+            for relation in ((), ("--relation",)):
+                argv = ("schur", "--shape", shape, "--n", n) + relation
+                polys = []
+                for method in ("strip", "jt"):
+                    code, out, _ = run(capsys, *argv, "--method", method)
+                    assert code == 0
+                    polys.append(json.loads(out)["polynomial"])
+                assert polys[0] == polys[1], (shape, n, relation)
+
+
 def test_kostka_command(capsys):
     code, out, _ = run(capsys, "kostka", "--lambda", "3,2,1")
     assert code == 0

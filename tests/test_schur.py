@@ -1,12 +1,15 @@
 import random
+from itertools import accumulate
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ribbonchar.polyring import Ring
+from ribbonchar import twisted
+from ribbonchar.polyring import Ring, determinant
 from ribbonchar.schur import (
+    _STRIP_CACHE,
     lr_expand,
-    schur_border_strip_det,
     schur_conjugate,
     schur_enumerative,
     schur_jacobi_trudi,
@@ -15,6 +18,26 @@ from ribbonchar.schur import (
     e_m,
 )
 from ribbonchar.shapes import BorderStrip, Partition, SkewDiagram, complement
+
+
+def strip_matrix_det(bs, n, relation=False):
+    """Hessenberg determinant over column data of a border strip, the oracle
+    for ``schur_strip_cached``, which expands it along its first row.
+
+    With prefix sums M_t of the column lengths, entry (i, j) is
+    e_{M_{r+1-i} - M_{r-j}}: the first row collects trailing column sums and
+    the subdiagonal is all ones.  The empty strip gives 1.
+    """
+    ring = Ring(n, relation)
+    r = len(bs.columns)
+    if r == 0:
+        return ring.one()
+    psum = list(accumulate(bs.columns, initial=0))
+    matrix = [
+        [e_m(ring, psum[r + 1 - i] - psum[r - j]) for j in range(1, r + 1)]
+        for i in range(1, r + 1)
+    ]
+    return determinant(matrix)
 
 
 def inner_partitions(outer):
@@ -50,7 +73,7 @@ def test_simple_values():
     expected = x1 * x1 + x1 * x2 + x2 * x2
     assert schur_enumerative(sd, 2) == expected
     assert schur_jacobi_trudi(sd, 2) == expected
-    assert schur_border_strip_det(BorderStrip((1, 1)), 2) == expected
+    assert strip_matrix_det(BorderStrip((1, 1)), 2) == expected
     assert schur_enumerative(SkewDiagram.from_str("0/0"), 2) == r.one()
     # rank violation vanishes
     assert schur_enumerative(SkewDiagram.from_str("1,1,1/0"), 2) == Ring(2).zero()
@@ -63,7 +86,7 @@ def test_single_column_is_elementary():
         for m in range(1, n + 1):
             sd = SkewDiagram(Partition((1,) * m), Partition())
             assert schur_jacobi_trudi(sd, n) == e_m(ring, m)
-            assert schur_border_strip_det(BorderStrip((m,)), n) == e_m(ring, m)
+            assert strip_matrix_det(BorderStrip((m,)), n) == e_m(ring, m)
 
 
 def test_methods_agree_small():
@@ -81,8 +104,6 @@ def test_methods_agree_large_shape():
 
 def test_determinant_matches_row_enumeration():
     # det [[e1, e2], [1, e1]] at rank 3 is the two-box row Schur function
-    from ribbonchar.polyring import determinant
-
     ring = Ring(3)
     matrix = [[e_m(ring, 1), e_m(ring, 2)], [ring.one(), e_m(ring, 1)]]
     row = SkewDiagram(Partition((2,)), Partition())
@@ -95,7 +116,7 @@ def test_strip_methods_agree():
         n = rng.randint(2, 4)
         cols = tuple(rng.randint(1, n) for _ in range(rng.randint(0, 4)))
         bs = BorderStrip(cols)
-        det = schur_border_strip_det(bs, n)
+        det = strip_matrix_det(bs, n)
         assert det == schur_jacobi_trudi(bs.realize(), n)
         assert det == schur_strip_cached(cols, n)
         assert det == schur_enumerative(bs.realize(), n)
@@ -113,9 +134,9 @@ def test_first_row_recursion():
         idx = 0
         for i in range(1, r + 1):
             idx += cols[r - i]
-            term = e_m(ring, idx) * schur_border_strip_det(BorderStrip(cols[: r - i]), n)
+            term = e_m(ring, idx) * strip_matrix_det(BorderStrip(cols[: r - i]), n)
             acc = acc + (term if i % 2 == 1 else -term)
-        assert acc == schur_border_strip_det(BorderStrip(cols), n)
+        assert acc == strip_matrix_det(BorderStrip(cols), n)
 
 
 def test_symmetry_under_transposition():
@@ -123,7 +144,7 @@ def test_symmetry_under_transposition():
     for _ in range(15):
         n = rng.randint(2, 4)
         cols = tuple(rng.randint(1, n) for _ in range(rng.randint(1, 3)))
-        poly = schur_border_strip_det(BorderStrip(cols), n)
+        poly = strip_matrix_det(BorderStrip(cols), n)
         i, j = rng.sample(range(1, n + 1), 2)
         perm = list(range(1, n + 1))
         perm[i - 1], perm[j - 1] = perm[j - 1], perm[i - 1]
@@ -221,5 +242,23 @@ def test_strip_routes_agree_random(case):
     n, blocks, relation = case
     bs = BorderStrip(blocks)
     cached = schur_strip_cached(blocks, n, relation)
-    assert cached == schur_border_strip_det(bs, n, relation)
+    assert cached == strip_matrix_det(bs, n, relation)
     assert cached == schur_jacobi_trudi(bs.realize(), n, relation)
+
+
+ROUTES = {
+    "strip_cached": lambda blocks: schur_strip_cached(blocks, 2),
+    "sL_determinant": lambda blocks: twisted.sL_determinant(blocks, 1),
+    "chi_tableaux": lambda blocks: twisted.chi_twisted(blocks, 1),
+    "chi_fiber": lambda blocks: twisted.chi_twisted(blocks, 1, method="fiber"),
+}
+
+
+@pytest.mark.parametrize("blocks", [(0,), (2, 0), (0, 3), (1, -1)])
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_strip_routes_reject_nonpositive_blocks(route, blocks):
+    # the second call fails too: a rejected call leaves nothing cached
+    for _ in range(2):
+        with pytest.raises(ValueError, match="column lengths must be positive"):
+            ROUTES[route](blocks)
+    assert not any(key[0] == blocks for key in _STRIP_CACHE)

@@ -7,14 +7,42 @@ from ribbonchar.shapes import (
     BorderStrip,
     Partition,
     SkewDiagram,
+    block_bits,
+    blocks_from_ones,
     complement,
     drinfeld_polynomials,
     drinfeld_root_str,
     is_border_strip,
     is_rank,
+    partitions_of,
     strip_from_skew,
     t_statistic,
 )
+from ribbonchar.spectra import enumerate_Sp_N
+from test_schur import inner_partitions
+
+
+def flood_fill_is_strip(sd):
+    """Oracle for ``is_border_strip``: no 2x2 block of cells, and one flood
+    fill over side adjacency reaches every cell."""
+    cells = set(sd.cells())
+    if not cells:
+        return True
+    for (r, c) in cells:
+        if (r, c + 1) in cells and (r + 1, c) in cells and (r + 1, c + 1) in cells:
+            return False
+    seen = set()
+    stack = [next(iter(cells))]
+    while stack:
+        cur = stack.pop()
+        if cur in seen:
+            continue
+        seen.add(cur)
+        r, c = cur
+        for nb in ((r + 1, c), (r - 1, c), (r, c + 1), (r, c - 1)):
+            if nb in cells and nb not in seen:
+                stack.append(nb)
+    return seen == cells
 
 
 def random_partition(rng, maxpart=5, maxlen=5):
@@ -142,3 +170,23 @@ def test_text_formats():
     assert str(SkewDiagram.from_str("5,4,3,1/3,2")) == "5,4,3,1/3,2"
     with pytest.raises(ValueError):
         BorderStrip.from_str("3,1,2")
+
+
+def test_row_test_equals_flood_fill_on_every_small_diagram():
+    diagrams = [
+        SkewDiagram(outer, inner)
+        for size in range(10)
+        for outer in partitions_of(size)
+        for inner in inner_partitions(outer)
+    ]
+    assert len(diagrams) == 1592
+    for sd in diagrams:
+        assert is_border_strip(sd) == flood_fill_is_strip(sd), str(sd)
+
+
+def test_block_bits_inverts_blocks_from_ones():
+    for size in range(11):
+        for blocks in enumerate_Sp_N(size, 4):
+            bits = block_bits(blocks, size)
+            ones = [i for i, bit in enumerate(bits, start=1) if bit]
+            assert blocks_from_ones(ones) == blocks

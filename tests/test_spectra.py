@@ -19,6 +19,7 @@ from ribbonchar.spectra import (
     enumerate_fiber,
     excitation_energy,
     fiber_character,
+    ground_sum,
     h_map,
     hs_eigenvalue,
     kappa,
@@ -323,6 +324,12 @@ def test_motif_excitation_matches_fiber_energy():
                 assert expected == excitation_energy(h.blocks, n)
                 for s in enumerate_fiber(h):
                     assert energy(s) == expected, (n, N, d)
+
+
+def test_ground_sum_matches_positionwise_sum():
+    for n in range(1, 6):
+        for m in range(21):
+            assert ground_sum(m, n) == sum(i for i in range(1, m + 1) if i % n == m % n), (n, m)
 
 
 def test_ground_energy_values():
