@@ -61,9 +61,10 @@ are 01 or 10, i.e. iff bit B-1 of D ^ (D << 1) is set; K has exactly bit
 B-1 of each biased digit set, so all keys are in range iff the AND of
 k ^ (k << 1) over them keeps every bit of K.  A key out of range raises
 OverflowError, as does packing a digit out of range.  Every other new key
-is packed (``from_terms``), a q shift inside a ``build_qseries`` window
-(0 <= e <= order < H), or a q digit set to 0 (``QSeries.coeffs``), so no
-key ever wraps: an operation raises or is exact.
+is packed (``from_terms``), a running sum whose digits one ``pack`` of an
+extreme vector bounds (``symmetrized``, ``walk_sum``), a q shift inside a
+``build_qseries`` window (0 <= e <= order < H), or a q digit set to 0
+(``QSeries.coeffs``), so no key ever wraps: an operation raises or is exact.
 
 Everything is immutable after construction and all integers are unbounded.
 """
@@ -442,6 +443,57 @@ class Ring:
                 for k in keys:
                     k &= wrap
                     out[k] = get(k, 0) + 1
+        return Laurent._raw(self, out)
+
+    def walk_sum(self, start, steps, moves):
+        """Sum over the walks a_1..a_m of x^(w/2), w = start + steps[a_1] +
+        ... + steps[a_m]: ``steps`` maps each letter to a doubled vector,
+        ``moves[0][None]`` lists the first letters and ``moves[i][a]`` the
+        letters that may follow a at position i (m = len(moves); no moves
+        give the empty walk).
+
+        A transfer matrix over positions: the state after position i maps
+        each letter a to {key: number of walks a_1..a_i ending in a}.  A
+        walk's key is pack(start) plus pack(steps[a]) - K per letter a
+        (module docstring, "Additive"), so the work is letters^2 times the
+        distinct keys per position, not walks times length.
+
+        No partial sum carries: digit values are linear in w (w_j, or
+        w_j - w_n under the relation), and with t_j = |start_j| + m * max_a
+        |steps[a]_j| every partial sum has |w_j| <= t_j.  So one ``pack`` of
+        the t_j (of the t_j + t_n, and 0 in slot n, under the relation)
+        bounds every digit value below H, stored keys included, or raises.
+        The parity digit only adds up parity bits, with nothing above it,
+        and the mask of the finished keys reduces it mod 2.
+        """
+        one, m = self._one, len(moves)
+        units = {a: self.pack(v) - one for a, v in steps.items()}
+        state = {None: {self.pack(start): 1}}
+        top = [abs(s) + m * max((abs(v[j]) for v in steps.values()), default=0)
+               for j, s in enumerate(start)]
+        if self.relation:
+            top = [t + top[-1] for t in top[:-1]] + [0]
+        self.pack(top)
+        for move in moves:
+            after = {}
+            for a, counts in state.items():
+                for b in move[a]:
+                    u = units[b]
+                    row = after.get(b)
+                    if row is None:
+                        after[b] = {k + u: c for k, c in counts.items()}
+                        continue
+                    get = row.get
+                    for k, c in counts.items():
+                        k += u
+                        row[k] = get(k, 0) + c
+            state = after
+        out = {}
+        get, wrap = out.get, self._wrap
+        for row in state.values():
+            for k, c in row.items():
+                k &= wrap
+                out[k] = get(k, 0) + c
         return Laurent._raw(self, out)
 
 

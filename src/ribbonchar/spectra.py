@@ -10,7 +10,6 @@ and are handled as plain block tuples.
 """
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
 
@@ -174,49 +173,63 @@ def phi_inverse(s, h):
     return Tableau(shape, entries, STANDARD, s.n)
 
 
+def _letter_moves(letters, H, bits, tail):
+    """The letters allowed at each position of the words of
+    ``local_energy_words``, tabulated once from H: ``moves[0][None]`` at the
+    first position and ``moves[i][a]`` after a at position i, the last
+    letter meeting the tail too; no moves for empty ``bits``."""
+    if not bits:
+        return []
+    letters = tuple(letters)
+    ends = {a for a in letters if H(a, tail) == bits[-1]}
+    follow = {
+        bit: {a: tuple(b for b in letters if H(a, b) == bit) for a in letters}
+        for bit in set(bits[:-1])
+    }
+    moves = [{None: letters}] + [follow[bit] for bit in bits[:-1]]
+    moves[-1] = {a: tuple(b for b in row if b in ends) for a, row in moves[-1].items()}
+    return moves
+
+
 def local_energy_words(letters, H, bits, tail):
     """Words w_1..w_m over ``letters`` with H(w_i, w_(i+1)) = bits[i-1],
     where w_(m+1) is the letter ``tail``, in the lexicographic order of
     ``letters``.  Empty ``bits`` give the single empty word.
 
-    The letters allowed after each (letter, bit) are tabulated once from H,
-    so the depth-first scan never calls H between two letters of the word.
-    The scan keeps its own stack of (prefix, remaining choices), one entry
-    per position, and yields each word from the loop that picks its last
-    letter.
+    The scan reads the allowed letters from ``_letter_moves``, so it never
+    calls H between two letters of the word.  It keeps its own stack of
+    (prefix, remaining choices), one entry per position, and yields each
+    word from the loop that picks its last letter.
     """
-    m = len(bits)
-    if m == 0:
-        yield ()
+    moves = _letter_moves(letters, H, bits, tail)
+    if len(moves) < 2:
+        yield from ([(a,) for a in moves[0][None]] if moves else [()])
         return
-    letters = tuple(letters)
-    ends = {a for a in letters if H(a, tail) == bits[-1]}
-    if m == 1:
-        yield from ((a,) for a in letters if a in ends)
-        return
-    follow = {
-        bit: {a: tuple(b for b in letters if H(a, b) == bit) for a in letters}
-        for bit in (0, 1)
-    }
-    # steps[i][a]: the letters allowed at position i + 1 after a at position
-    # i; the last letter must also meet the tail
-    steps = [follow[bit] for bit in bits[:-1]]
-    steps[-1] = {a: tuple(b for b in row if b in ends) for a, row in steps[-1].items()}
-    final = m - 2
-    stack = [((), iter(letters))]
+    final = len(moves) - 1  # the words of this length pick their last letter
+    stack = [((), iter(moves[0][None]))]
     while stack:
         prefix, choices = stack[-1]
         for a in choices:
             word = prefix + (a,)
-            i = len(prefix)
+            i = len(word)
             if i == final:
-                for b in steps[i][a]:
+                for b in moves[i][a]:
                     yield word + (b,)
             else:
-                stack.append((word, iter(steps[i][a])))
+                stack.append((word, iter(moves[i][a])))
                 break
         else:
             stack.pop()
+
+
+def local_energy_sum(ring, letters, H, bits, tail, start, step):
+    """Sum over the words of ``local_energy_words(letters, H, bits, tail)``
+    of x^((start + step(w_1) + ... + step(w_m))/2) in ``ring``, ``step``
+    giving each letter's doubled weight: a transfer matrix over positions
+    (``Ring.walk_sum``) on the scan's own table, listing no word."""
+    letters = tuple(letters)
+    moves = _letter_moves(letters, H, bits, tail)
+    return ring.walk_sum(start, {a: step(a) for a in letters}, moves)
 
 
 def fiber_words(h):
@@ -237,8 +250,9 @@ def enumerate_fiber(h):
 
 
 def fiber_character(h, relation=True):
-    """Sum of weight monomials over the fiber, counted over the bare words
-    of one scan.
+    """Sum of weight monomials over the fiber: the words of ``fiber_words``
+    counted by ``local_energy_sum`` with weight 2*e_a per letter a, none of
+    them listed.
 
     Each word is its configuration's canonical prefix: the last local
     energy, against the tail letter 1, is always 1, so a word ending in a
@@ -246,10 +260,11 @@ def fiber_character(h, relation=True):
     a spectrum point cannot have.
     """
     letters = range(1, h.n + 1)
-    weights = Counter(
-        tuple([2 * word.count(a) for a in letters]) for word in fiber_words(h)
+    target = block_bits(h.blocks, h.size())
+    return local_energy_sum(
+        Ring(h.n, relation), letters, local_energy, target, 1, (0,) * h.n,
+        lambda a: tuple(2 * (a == b) for b in letters),
     )
-    return Ring(h.n, relation).from_terms(weights.items())
 
 
 def excitation_energy(blocks, n):

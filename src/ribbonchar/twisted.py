@@ -1,10 +1,9 @@
 """The signed-alphabet vertex model: twisted local energy, its spectral
 decomposition through pinned-column strips, the character by enumeration,
-by fiber brute force and by the sigma/t determinant, and the level-1
+by counting the fiber's words and by the sigma/t determinant, and the level-1
 lattice form versus the strip decomposition."""
 from __future__ import annotations
 
-from collections import Counter
 from functools import partial
 from itertools import accumulate
 
@@ -16,7 +15,7 @@ from .polyring import (
     inverse_pochhammer_series,
 )
 from .shapes import BorderStrip, block_bits, blocks_from_ones
-from .spectra import local_energy_words
+from .spectra import local_energy_sum, local_energy_words
 from .tableaux import (
     SIGNED,
     _pinned_strip,
@@ -94,15 +93,10 @@ def energy_twisted(s):
 
 def weight_twisted(s):
     """Doubled exponents of the weight: letters (+/-)i give (+/-)1 in slot i
-    and the whole configuration is shifted by minus the half-sum vector."""
-    return _word_weight(s.prefix, s.n)
-
-
-def _word_weight(word, n):
-    """``weight_twisted`` of a prefix; its zeros, trailing or not, weigh
-    nothing."""
-    vec = [-1] * n
-    for a in word:
+    and the whole configuration is shifted by minus the half-sum vector;
+    zeros, trailing or not, weigh nothing."""
+    vec = [-1] * s.n
+    for a in s.prefix:
         if a > 0:
             vec[a - 1] += 2
         elif a < 0:
@@ -115,41 +109,42 @@ def kappa_twisted(blocks, n):
     return BorderStrip(tuple(blocks) + (2 * n,))
 
 
-def _fiber_words(blocks, n):
-    """Words whose local energies, followed by the all-zero tail, realize
-    the blocks.
+def _fiber_scan(blocks, n):
+    """``local_energy_words`` arguments for the words whose local energies,
+    followed by the all-zero tail, realize the blocks.
 
     After the last forced 1 the letters must ascend strictly to 0 and stay
     there, so prefixes longer than p_r + n + 1 never occur; the scan length
     below is safely beyond that.
     """
     target = block_bits(blocks, sum(blocks) + n + 2)
-    H = partial(local_energy_twisted, n=n)
-    return local_energy_words(signed_alphabet(n), H, target, 0)
+    return signed_alphabet(n), partial(local_energy_twisted, n=n), target, 0
 
 
 def enumerate_twisted_fiber(blocks, n):
     """Configurations whose local energies, followed by the all-zero tail,
     realize the blocks, in the lexicographic order of the signed alphabet."""
-    for word in _fiber_words(blocks, n):
+    for word in local_energy_words(*_fiber_scan(blocks, n)):
         yield TwistedConfiguration(word, n)
 
 
 def chi_twisted(blocks, n, method="tableaux"):
     """Character of the fiber over a block list, by pinned-tableau
-    enumeration or by the brute-force fiber scan.  Both count weight
-    vectors, building neither tableaux nor configurations.  A block below 1
-    raises ``ValueError`` (from ``BorderStrip``) under either method."""
+    enumeration or by the fiber's words, counted position by position
+    (``local_energy_sum``) with ``weight_twisted``'s weights.  Neither builds
+    a tableau or a configuration.  A block below 1 raises ``ValueError``
+    (from ``BorderStrip``) under either method."""
     ring = Ring(n, relation=False)
     strip = kappa_twisted(blocks, n)
     if method == "tableaux":
         shape, pinned = _pinned_strip(strip, n)
-        weights = filling_weights(shape, n, SIGNED, pinned)
-    elif method == "fiber":
-        weights = Counter(_word_weight(word, n) for word in _fiber_words(blocks, n))
-    else:
-        raise ValueError("method must be 'tableaux' or 'fiber'")
-    return ring.from_terms(weights.items())
+        return ring.from_terms(filling_weights(shape, n, SIGNED, pinned).items())
+    if method == "fiber":
+        return local_energy_sum(
+            ring, *_fiber_scan(blocks, n), (-1,) * n,
+            lambda a: tuple(2 * ((a == i) - (a == -i)) for i in range(1, n + 1)),
+        )
+    raise ValueError("method must be 'tableaux' or 'fiber'")
 
 
 _SIGMA_CACHE = {}
@@ -268,8 +263,10 @@ def twisted_character_brute(n, order):
     """Fiber-summed level-1 character, truncated by energy.
 
     The energy of a fiber equals the twisted statistic of its blocks, so
-    block lists within the window enumerate every contributing state; the
-    fibers themselves are scanned with the brute-force oracle.
+    block lists within the window enumerate every contributing state; each
+    fiber's character is its words' weights, counted position by position
+    (``chi_twisted(..., method="fiber")``), which reads only the local
+    energy.
     """
     return _strip_sum(n, order, partial(chi_twisted, n=n, method="fiber"))
 

@@ -34,6 +34,7 @@ from ribbonchar.spectra import (
     Z_vertex_direct,
     enumerate_Sp_N,
     enumerate_fiber,
+    fiber_character,
     kappa,
     motif_to_blocks,
     motifs,
@@ -354,3 +355,18 @@ def test_criterion_12_twisted_model():
     elapsed = time.perf_counter() - started
     assert elapsed < 120.0, f"took {elapsed:.1f}s"
     announce(12, "twisted characters three ways and level-1 identity")
+
+
+def test_criterion_12_fiber_characters_at_scale():
+    # the fiber sum counts each fiber's words position by position; listing
+    # them one by one took about 3 s for the brute route alone here
+    started = time.perf_counter()
+    assert tw.twisted_character_brute(4, 7) == tw.twisted_decomposition(4, 7)
+    elapsed = time.perf_counter() - started
+    assert elapsed < 1.0, f"took {elapsed:.2f}s"
+    blocks = (1, 2, 3, 4, 1, 2, 3, 1)
+    for relation in (False, True):
+        assert fiber_character(SpectrumPoint(blocks, 4), relation) == schur_strip_cached(
+            blocks, 4, relation
+        )
+    announce(12, "twisted fiber sum at (4, 7) and a rank-4 fiber of 17 cells")

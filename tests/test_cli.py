@@ -352,6 +352,28 @@ def test_fiber_command_bytes_match_configuration_route(capsys):
                     assert out == json.dumps(old, indent=2) + "\n", argv
 
 
+def test_fiber_command_character_counts_its_configurations(capsys):
+    # the listing is the word scan and the character the transfer-matrix
+    # count: each document must agree with itself
+    for n in (2, 3):
+        for size in range(8):
+            for blocks in enumerate_Sp_N(size, n):
+                if blocks and blocks[-1] == n:
+                    continue
+                for relation in (False, True):
+                    argv = ["fiber", "--n", str(n), "--h", ",".join(map(str, blocks))]
+                    code, out, _ = run(capsys, *argv + ["--relation"] * relation)
+                    assert code == 0
+                    doc = json.loads(out)
+                    configs = doc["configurations"]
+                    assert doc["size"] == len(configs)
+                    counted = Ring(n, relation).from_terms(
+                        (tuple(2 * word.count(a) for a in range(1, n + 1)), 1)
+                        for word in configs
+                    )
+                    assert laurent_from_json(doc["character"]) == counted, argv
+
+
 def test_closed_pipe_keeps_exit_code_and_prints_no_traceback():
     # about 529 KB of output, far beyond a pipe's buffer, so the command is
     # still writing when the reader closes its end after 100 bytes

@@ -2,7 +2,7 @@ import random
 from itertools import accumulate
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ribbonchar import twisted
@@ -209,6 +209,22 @@ def test_factorization():
         right = schur_strip_cached(tuple(cols[i:]), n)
         assert whole == left * right, (cols, i, n)
         done += 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_factorization_property(data):
+    # a strip splits into a product of strips between two columns whose
+    # lengths add up to more than n
+    n = data.draw(st.integers(1, 5))
+    cols = tuple(data.draw(st.lists(st.integers(1, n), min_size=2, max_size=7)))
+    relation = data.draw(st.booleans())
+    splits = [i for i in range(1, len(cols)) if cols[i - 1] + cols[i] >= n + 1]
+    assume(splits)
+    i = data.draw(st.sampled_from(splits))
+    left = schur_strip_cached(cols[:i], n, relation)
+    right = schur_strip_cached(cols[i:], n, relation)
+    assert schur_strip_cached(cols, n, relation) == left * right
 
 
 def test_lr_expand():

@@ -24,6 +24,7 @@ from ribbonchar.spectra import (
     hs_eigenvalue,
     kappa,
     local_energy,
+    local_energy_sum,
     local_energy_words,
     motif_to_blocks,
     motifs,
@@ -239,6 +240,61 @@ def test_local_energy_words_matches_recursive_oracle():
         assert got == list(local_energy_words_recursive(letters, H, bits, tail))
     for tail in (0, 1):
         assert list(local_energy_words([1, 2], local_energy, [], tail)) == [()]
+
+
+def local_energy_sum_by_words(ring, letters, H, bits, tail, start, step):
+    """The count as one weight per scanned word, collected in a Counter:
+    the oracle for the transfer matrix of ``local_energy_sum``."""
+    weights = Counter(
+        tuple(map(sum, zip(start, *map(step, word))))
+        for word in local_energy_words(letters, H, bits, tail)
+    )
+    return ring.from_terms(weights.items())
+
+
+def test_local_energy_sum_matches_word_oracle():
+    # the word scan's random cases, with both relations, random starts and
+    # random doubled steps, negative and zero entries included
+    rng = random.Random(43)
+    for trial in range(400):
+        letters = rng.sample(range(-3, 5), rng.randint(1, 5))
+        tail = trial % 2
+        table = {
+            (a, b): rng.randint(0, 1) for a in letters for b in {*letters, tail}
+        }
+        H = lambda a, b: table[a, b]
+        bits = [rng.randint(0, 1) for _ in range(rng.randint(0, 8))]
+        n = rng.randint(1, 3)
+        ring = Ring(n, relation=trial % 4 >= 2)
+        start = tuple(rng.randint(-3, 3) for _ in range(n))
+        steps = {a: tuple(rng.randint(-2, 2) for _ in range(n)) for a in letters}
+        args = (ring, letters, H, bits, tail, start, steps.__getitem__)
+        assert local_energy_sum(*args) == local_energy_sum_by_words(*args), trial
+    step = lambda a: (2 * a, -a)
+    for relation in (False, True):
+        ring = Ring(2, relation)
+        # empty bits: the empty word alone, weighing the start
+        got = local_energy_sum(ring, [1, 2], local_energy, [], 1, (3, -1), step)
+        assert got == ring.monomial((3, -1))
+        # no letter lies below the tail letter 1, and no two letters of 1, 2
+        # ascend twice: no word survives
+        for bits in ([0], [0, 0, 0]):
+            args = (ring, [1, 2], local_energy, bits, 1, (0, 0), step)
+            assert local_energy_sum(*args) == ring.zero()
+            assert local_energy_sum_by_words(*args) == ring.zero()
+
+
+def test_local_energy_sum_rejects_unpackable_partial_sums():
+    # digit values lie in [-2**30, 2**30): the word 1 weighs 2**30 - 1 in
+    # its slot, and the word 1 1 weighs 2**30 + 1, past the packed range
+    ring = Ring(1)
+    H = lambda a, b: 1
+    start = (2**30 - 3,)
+    assert local_energy_sum(ring, [1], H, [1], 1, start, lambda a: (2,)) == (
+        ring.monomial((2**30 - 1,))
+    )
+    with pytest.raises(OverflowError):
+        local_energy_sum(ring, [1], H, [1, 1], 1, start, lambda a: (2,))
 
 
 @pytest.mark.parametrize("relation", [False, True])
