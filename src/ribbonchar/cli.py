@@ -17,7 +17,7 @@ import time
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import characters, schur, shapes, spectra, twisted
-from .polyring import QPoly, QSeries, qpoly_to_json
+from .polyring import Laurent, QPoly, QSeries, qpoly_to_json, terms_text
 from .polyring import laurent_to_json as _laurent_json
 from .polyring import qseries_to_json as _qseries_json
 from .shapes import BorderStrip, Partition, SkewDiagram
@@ -413,10 +413,11 @@ def dumps_indented(doc):
     The stdlib encoder runs in pure Python whenever ``indent`` is set.  Here
     a list of plain ints (bools excluded) is one join, and strings and keys
     go through the stdlib's C escaping, so ``ensure_ascii`` output is kept.
-    Tuples are written as lists.  Any other value (float, bool, None, a
-    subclass) is handed to ``json.dumps`` and indented at its depth.  Dict
-    keys must be strings, as in every document the commands write; any
-    other key raises ``TypeError``.
+    Tuples are written as lists.  A ``Laurent`` is written as its terms list
+    by ``polyring.terms_text``, straight from its packed keys.  Any other
+    value (float, bool, None, a subclass) is handed to ``json.dumps`` and
+    indented at its depth.  Dict keys must be strings, as in every document
+    the commands write; any other key raises ``TypeError``.
     """
     out = []
     _write(doc, "\n", out)
@@ -456,6 +457,8 @@ def _write(value, newline, out):
             _write(item, inner, out)
             sep = "," + inner
         out.append(newline + "}")
+    elif kind is Laurent:
+        out.append(terms_text(value, newline))
     else:
         # an indented value's line breaks all lie outside its strings, which
         # escape their own
@@ -472,6 +475,13 @@ def main(argv=None):
         code, doc = args.func(args)
     except UsageError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
+        return 2
+    except RecursionError:
+        # the recursive enumerators and expansions go one frame deeper per
+        # cell, column or block, so such an input is too large to compute
+        # here; that is not a mismatch
+        print(json.dumps({"error": "input too large: recursion limit reached"}),
+              file=sys.stderr)
         return 2
     text = doc if isinstance(doc, str) else dumps_indented(doc)
     try:

@@ -66,6 +66,13 @@ extreme vector bounds (``symmetrized``, ``walk_sum``), a q shift inside a
 ``build_qseries`` window (0 <= e <= order < H), or a q digit set to 0
 (``QSeries.coeffs``), so no key ever wraps: an operation raises or is exact.
 
+Wire format.  ``laurent_to_json`` is {"n", "relation", "terms"} and
+``qseries_to_json`` adds "offset" and "order" and has one terms list per q
+power in "coefficients".  The documents carry the ``Laurent`` values
+themselves, and ``terms_text`` writes each one as its terms list, [{"x2":
+doubled vector, "q": [[exponent, coefficient], ..]}, ..], straight from the
+packed keys.  The readers live with the tests: the library only writes.
+
 Everything is immutable after construction and all integers are unbounded.
 """
 from __future__ import annotations
@@ -592,8 +599,8 @@ class Laurent:
             out = out * self
         return out
 
-    def _by_vector(self):
-        """Unsorted (canonical doubled vector, QPoly) pairs."""
+    def _groups(self):
+        """{key >> B: {q exponent: coefficient}}, one entry per x part."""
         groups = {}
         for k, c in self.terms.items():
             x = k >> DIGIT_BITS
@@ -601,8 +608,12 @@ class Laurent:
             if g is None:
                 g = groups[x] = {}
             g[(k & _DIGIT) - _BIAS] = c
+        return groups
+
+    def _by_vector(self):
+        """Unsorted (canonical doubled vector, QPoly) pairs."""
         vector = self.ring._vector
-        return [(vector(x), QPoly._raw(g)) for x, g in groups.items()]
+        return [(vector(x), QPoly._raw(g)) for x, g in self._groups().items()]
 
     def coeff(self, vec):
         """The QPoly coefficient of x^(vec/2)."""
@@ -665,7 +676,10 @@ class Laurent:
         return self.ring.from_terms((v, c.at()) for v, c in self._by_vector())
 
     def to_ring(self, ring):
-        """Recanonicalize into another ring of the same rank."""
+        """Recanonicalize into another ring of the same rank (``self`` in
+        its own ring: one ring per context, and values are immutable)."""
+        if ring is self.ring:
+            return self
         if ring.n != self.ring.n:
             raise RingContextError("cannot change rank")
         return ring.from_terms(self._by_vector())
@@ -962,51 +976,50 @@ def qpoly_to_json(p):
     return [[e, c] for e, c in p.pairs()]
 
 
-def qpoly_from_json(pairs):
-    return QPoly({int(e): int(c) for e, c in pairs})
-
-
 def laurent_to_json(poly):
-    """{"n":..,"relation":..,"terms":[{"x2":[..],"q":[[e,c],..]},..]} with
-    terms sorted lexicographically on the doubled exponent vectors."""
-    return {
-        "n": poly.ring.n,
-        "relation": poly.ring.relation,
-        "terms": [
-            {"x2": list(vec), "q": qpoly_to_json(c)}
-            for vec, c in poly.sorted_terms()
-        ],
-    }
-
-
-def laurent_from_json(doc):
-    ring = Ring(int(doc["n"]), bool(doc["relation"]))
-    return ring.from_terms(
-        (tuple(term["x2"]), qpoly_from_json(term["q"])) for term in doc["terms"]
-    )
+    """{"n": .., "relation": .., "terms": poly}.  The document carries the
+    value itself; ``terms_text`` writes it as the terms list."""
+    return {"n": poly.ring.n, "relation": poly.ring.relation, "terms": poly}
 
 
 def qseries_to_json(series):
-    """The Laurent format plus the rational offset and truncation order."""
+    """The Laurent format's rank and relation, the rational offset, the
+    truncation order, and one terms list per q power offset + 0..order."""
     return {
         "n": series.ring.n,
         "relation": series.ring.relation,
         "offset": str(series.offset),
         "order": series.order,
-        "coefficients": [laurent_to_json(c)["terms"] for c in series.coeffs],
+        "coefficients": series.coeffs,
     }
 
 
-def qseries_from_json(doc):
-    ring = Ring(int(doc["n"]), bool(doc["relation"]))
-    offset = Fraction(doc["offset"])
-    coeffs = (
-        ring.from_terms((tuple(t["x2"]), qpoly_from_json(t["q"])) for t in terms)
-        for terms in doc["coefficients"]
-    )
-    return build_qseries(
-        ring, offset, int(doc["order"]), ((offset + j, c) for j, c in enumerate(coeffs))
-    )
+def terms_text(poly, newline):
+    """The terms list of ``poly`` (module docstring, "Wire format") as
+    ``json.dumps(..., indent=2)`` writes it on a line whose break and indent
+    are ``newline``: terms in lexicographic order of their canonical vectors,
+    q pairs in ascending order.  One ``Ring._vector`` per x part, one sort of
+    the vectors and one of each term's q pairs.
+    """
+    if not poly.terms:
+        return "[]"
+    groups = poly._groups()
+    i1 = newline + "  "
+    i2 = i1 + "  "
+    i3 = i2 + "  "
+    i4 = i3 + "  "
+    comma = "," + i3
+    head = "{" + i2 + '"x2": [' + i3
+    middle = i2 + "]," + i2 + '"q": [' + i3
+    tail = i2 + "]" + i1 + "}"
+    vector = poly.ring._vector
+    out = [
+        head + comma.join(map(str, vec)) + middle
+        + comma.join([f"[{i4}{e},{i4}{c}{i3}]" for e, c in sorted(groups[x].items())])
+        + tail
+        for vec, x in sorted([(vector(x), x) for x in groups])
+    ]
+    return "[" + i1 + ("," + i1).join(out) + newline + "]"
 
 
 def inverse_pochhammer_series(ring, power, order):

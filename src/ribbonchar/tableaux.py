@@ -448,21 +448,6 @@ class GZScheme:
         return f"GZScheme({[tuple(r) for r in self.rows]}, N={self.N})"
 
 
-def tableau_to_json(t):
-    """{"shape": "outer/inner", "rows": [[letters...], ...]}."""
-    return {"shape": str(t.shape), "rows": t.rows()}
-
-
-def tableau_from_json(doc, alphabet, n, frozen=frozenset()):
-    shape = SkewDiagram.from_str(doc["shape"])
-    entries = {}
-    for i, row in enumerate(doc["rows"], start=1):
-        start = shape.inner.part(i)
-        for off, letter in enumerate(row, start=1):
-            entries[(i, start + off)] = letter
-    return Tableau(shape, entries, alphabet, n, frozen)
-
-
 def gz_from_sst(t, N):
     """Scheme whose m-th row collects the inner shape plus all cells <= m."""
     if t.alphabet != STANDARD:

@@ -1,6 +1,8 @@
+import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import OrderedDict
@@ -8,15 +10,16 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ribbonchar
 from ribbonchar import characters, cli
 from ribbonchar.cli import dumps_indented, laurent_to_json, main
-from ribbonchar.polyring import QPoly, Ring, build_qseries, laurent_from_json, qpoly_from_json
+from ribbonchar.polyring import QPoly, Ring, build_qseries
 from ribbonchar.shapes import BorderStrip, Partition
 from ribbonchar.spectra import SpectrumPoint, enumerate_Sp_N, enumerate_fiber, weight
+from wire import laurent_from_json, laurent_terms, qpoly_from_json
 
 
 def run(capsys, *argv):
@@ -212,9 +215,8 @@ def test_verify_djkmo(capsys):
     assert all(c["window"] == ["1/4", 4] for c in doc["checks"])
 
 
-def test_verify_djkmo_reports_first_mismatch(capsys, monkeypatch):
-    # a theta with one extra monomial x_1 q^(offset + 2) must fail both
-    # checks there, and the report must show that monomial and nothing else
+def add_x1_to_theta(monkeypatch):
+    """Make ``level1_theta`` return the true theta plus x_1 q^(offset + 2)."""
     real_theta = characters.level1_theta
 
     def faulty_theta(n, k, order):
@@ -223,6 +225,12 @@ def test_verify_djkmo_reports_first_mismatch(capsys, monkeypatch):
         return theta + build_qseries(theta.ring, theta.offset, order, extra)
 
     monkeypatch.setattr(characters, "level1_theta", faulty_theta)
+
+
+def test_verify_djkmo_reports_first_mismatch(capsys, monkeypatch):
+    # a theta with one extra monomial x_1 q^(offset + 2) must fail both
+    # checks there, and the report must show that monomial and nothing else
+    add_x1_to_theta(monkeypatch)
     code, out, _ = run(capsys, "verify", "djkmo", "--n", "2", "--k", "1", "--order", "4")
     assert code == 1
     doc = json.loads(out)
@@ -234,6 +242,27 @@ def test_verify_djkmo_reports_first_mismatch(capsys, monkeypatch):
         assert first["exponent"] == "9/4"
         lhs, rhs = laurent_from_json(first["lhs"]), laurent_from_json(first["rhs"])
         assert rhs - lhs == lhs.ring.gen(1)
+
+
+def test_mismatch_report_bytes(capsys, monkeypatch):
+    # the report of the faulty theta carries Laurent values in both
+    # first_mismatch entries: its text must be the stdlib text of the
+    # document, and is pinned by length and hash with wall_time_ms zeroed
+    add_x1_to_theta(monkeypatch)
+    docs = []
+
+    def spy(doc):
+        docs.append(doc)
+        return dumps_indented(doc)
+
+    monkeypatch.setattr(cli, "dumps_indented", spy)
+    code, out, _ = run(capsys, "verify", "djkmo", "--n", "2", "--k", "1", "--order", "4")
+    assert code == 1
+    assert out == json.dumps(docs[0], indent=2, default=laurent_terms) + "\n"
+    text = re.sub(r'"wall_time_ms": \d+', '"wall_time_ms": 0', out).encode()
+    assert len(text) == 4587
+    assert hashlib.sha256(text).hexdigest() == (
+        "1be17c9a3c0691c5489bd5a8b4fe261a2d35cb951daa8633f4fcc4910ed24311")
 
 
 def test_verify_all_quick(capsys):
@@ -295,6 +324,39 @@ def test_writer_equals_stdlib_indent_2(doc):
     assert dumps_indented(doc) == json.dumps(doc, indent=2)
 
 
+@st.composite
+def laurent_values(draw):
+    """A Laurent value of rank 1..4 with or without the relation: odd
+    doubled exponents, negative q powers and large coefficients included,
+    and the zero polynomial whenever no terms are drawn or they cancel."""
+    ring = Ring(draw(st.integers(1, 4)), draw(st.booleans()))
+    entry = st.integers(-5, 5) | st.integers(-(2**28), 2**28)
+    power = st.integers(-4, 4) | st.integers(-(2**29), 2**29)
+    coeff = st.integers(-3, 3) | st.integers(-(10**40), 10**40)
+    terms = draw(st.lists(st.tuples(st.tuples(*[entry] * ring.n), power, coeff), max_size=8))
+    return ring.from_terms((vec, QPoly.term(e, c)) for vec, e, c in terms)
+
+
+laurent_leaves = laurent_values().flatmap(
+    lambda p: st.sampled_from([p, laurent_to_json(p), laurent_to_json(p, pretty=True)])
+)
+laurent_docs = st.recursive(
+    json_leaves | laurent_leaves,
+    lambda inner: st.lists(inner)
+    | st.lists(inner).map(tuple)
+    | st.dictionaries(tricky_text, inner),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(laurent_docs)
+@example(Ring(2, relation=True).zero())
+@example([[{"lhs": Ring(1).zero()}]])
+def test_writer_writes_laurent_values_as_the_oracle(doc):
+    assert dumps_indented(doc) == json.dumps(doc, indent=2, default=laurent_terms)
+
+
 @pytest.mark.parametrize("argv", [
     ["schur", "--shape", "3,2/1", "--n", "3", "--method", "jt", "--pretty"],
     ["spectrum", "--n", "3", "--N", "5"],
@@ -319,7 +381,7 @@ def test_stdout_is_stdlib_text_of_the_document(capsys, monkeypatch, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert len(docs) == 1
-    assert out == json.dumps(docs[0], indent=2) + "\n"
+    assert out == json.dumps(docs[0], indent=2, default=laurent_terms) + "\n"
 
 
 def old_fiber_doc(n, blocks, relation, pretty):
@@ -349,7 +411,7 @@ def test_fiber_command_bytes_match_configuration_route(capsys):
                     code, out, _ = run(capsys, *argv)
                     assert code == 0
                     old = old_fiber_doc(n, blocks, relation, pretty)
-                    assert out == json.dumps(old, indent=2) + "\n", argv
+                    assert out == json.dumps(old, indent=2, default=laurent_terms) + "\n", argv
 
 
 def test_fiber_command_character_counts_its_configurations(capsys):
@@ -372,6 +434,25 @@ def test_fiber_command_character_counts_its_configurations(capsys):
                         for word in configs
                     )
                     assert laurent_from_json(doc["character"]) == counted, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ("kostka", "--lambda", "1100"),
+    ("schur", "--shape", "1100", "--n", "1"),
+    ("schur", "--shape", "1100", "--n", "1", "--method", "jt"),
+    ("schur", "--shape", "1100", "--n", "1", "--method", "strip"),
+])
+def test_input_too_deep_for_recursion_is_usage_error(capsys, argv):
+    # one frame per cell, column or block: past the recursion limit the
+    # input cannot be computed, which must not read as a mismatch (exit 1)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "recursion" in json.loads(err)["error"]
+    # and the same command at a small size still answers
+    code, out, _ = run(capsys, *["3" if a == "1100" else a for a in argv])
+    assert code == 0 and json.loads(out)["polynomial"]
 
 
 def test_closed_pipe_keeps_exit_code_and_prints_no_traceback():

@@ -28,10 +28,9 @@ from ribbonchar.tableaux import (
     signed_alphabet,
     signed_pos,
     sst_from_gz,
-    tableau_from_json,
-    tableau_to_json,
     tableau_weight,
 )
+from wire import tableau_from_json, tableau_to_json
 
 
 def test_enumerate_sst_basics():
