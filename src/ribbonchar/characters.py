@@ -10,8 +10,10 @@ from itertools import accumulate
 
 from .polyring import (
     QPoly,
+    QSeries,
     Ring,
     build_qseries,
+    check_order,
     gaussian_multinomial,
     inverse_pochhammer_series,
     laurent_dot,
@@ -146,9 +148,9 @@ def conformal_dimension(n, k):
     return Fraction(k * (n - k), 2 * n)
 
 
-def decomposition_strips(n, cutoff, residue):
+def decomposition_strips(n, cutoff, *residues):
     """Yield (blocks, exponent) for every strip with exponent <= cutoff whose
-    size is congruent to ``residue`` mod n.
+    size is congruent mod n to one of ``residues``.
 
     Strips have columns m_1..m_r in 1..n with the final column at most n-1;
     the empty strip has size 0 and exponent 0.  With prefix sums p_j a strip
@@ -158,6 +160,10 @@ def decomposition_strips(n, cutoff, residue):
 
     so the search runs over columns in integers against
     cap = floor(2n * cutoff), and builds a Fraction only for emitted strips.
+
+    One depth-first search serves every residue class: the pruning below
+    does not read the residue, so each class comes out in the order a
+    search for it alone would give, interleaved with the other classes.
 
     The pruning is complete.  Take a prefix whose prefix sums total S (its
     last one, p, included).  Every strip extending it by one column has p_r
@@ -174,17 +180,17 @@ def decomposition_strips(n, cutoff, residue):
     more than (cap - n + 1) / (n + 1) + 1 columns: the search terminates.
     For a fixed prefix B is not monotone in c, so every c is tried.
     """
-    residue %= n
+    wanted = {r % n for r in residues}
     two_n = 2 * n
     cap = math.floor(two_n * Fraction(cutoff))
-    if cap >= 0 and residue == 0:
+    if cap >= 0 and 0 in wanted:
         yield (), Fraction(0)
     prefix = []
 
     def grow(S, p):
         for c in range(1, n + 1):
             q = p + c
-            if c < n and q % n == residue:
+            if c < n and q % n in wanted:
                 F = two_n * S + q * (n - q)
                 if F <= cap:
                     yield (*prefix, c), Fraction(F, two_n)
@@ -199,32 +205,36 @@ def decomposition_strips(n, cutoff, residue):
 
 def level1_decomposition(n, k, order, variant="a"):
     """Strip-sum form of the sector-k character, offset by the conformal
-    dimension; variant "b" runs over the complementary sector with the
-    variable-inverted Schur functions."""
+    dimension.  Variant "a" sums the strip Schur functions of residue k;
+    variant "b" sums those of the complementary residue n-k and inverts the
+    variables; "ab" returns the pair (a, b).
+
+    Both variants of "ab" come from one ``decomposition_strips`` search,
+    and each strip's Schur function is looked up once.  x -> 1/x is
+    additive, so b inverts its summed value once rather than each strip
+    Schur function; when k = n-k mod n the two residues coincide and b is
+    a's summed value inverted, nothing summed twice.
+    """
     if not 0 <= k < n:
         raise ValueError("sector out of range")
-    if variant not in ("a", "b"):
-        raise ValueError("variant must be 'a' or 'b'")
+    if variant not in ("a", "b", "ab"):
+        raise ValueError("variant must be 'a', 'b' or 'ab'")
+    check_order(order)
     ring = Ring(n, relation=True)
     delta = conformal_dimension(n, k)
     cutoff = delta + order
-    residue = k if variant == "a" else n - k
-    series = build_qseries(
-        ring,
-        delta,
-        order,
-        (
+    a, b = k, (n - k) % n
+    residues = {"a": (a,), "b": (b,), "ab": (a, b)}[variant]
+    classes = {r: [] for r in residues}  # k = n-k mod n gives one class
+    for blocks, expo in decomposition_strips(n, cutoff, *classes):
+        classes[sum(blocks) % n].append(
             (expo, _schur.schur_strip_cached(blocks, n, relation=True))
-            for blocks, expo in decomposition_strips(n, cutoff, residue)
-        ),
-    )
-    if variant == "b":
-        # x -> 1/x is additive, so inverting the summed value once equals
-        # summing the inverted strip Schur functions
-        series = build_qseries(
-            ring, delta, order, [(delta, series.value.subs_x_inverse())]
         )
-    return series
+    sums = {r: build_qseries(ring, delta, order, c) for r, c in classes.items()}
+    if variant == "a":
+        return sums[a]
+    inverted = QSeries(delta, sums[b].value.subs_x_inverse(), order)
+    return inverted if variant == "b" else (sums[a], inverted)
 
 
 def level1_theta(n, k, order):
@@ -258,6 +268,7 @@ def level1_theta(n, k, order):
     """
     if not 0 <= k < n:
         raise ValueError("sector out of range")
+    check_order(order)
     ring = Ring(n, relation=True)
     delta = conformal_dimension(n, k)
     cutoff = delta + order

@@ -243,8 +243,10 @@ def cmd_verify(args):
         check_level1(args.n, args.order, args.k)
         started = time.perf_counter()
         rhs = characters.level1_theta(args.n, args.k, args.order)
-        for variant in ("a", "b"):
-            lhs = characters.level1_decomposition(args.n, args.k, args.order, variant)
+        # both variants come from one strip search, so variant a's report
+        # times the theta series, both strip sums and its own comparison
+        pair = characters.level1_decomposition(args.n, args.k, args.order, "ab")
+        for variant, lhs in zip("ab", pair):
             checks.append(
                 report(
                     f"strip_decomposition_{variant}_equals_theta",
@@ -482,6 +484,10 @@ def main(argv=None):
         # here; that is not a mismatch
         print(json.dumps({"error": "input too large: recursion limit reached"}),
               file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        # an exponent or truncation order outside the packed range
+        print(json.dumps({"error": f"input too large: {exc}"}), file=sys.stderr)
         return 2
     text = doc if isinstance(doc, str) else dumps_indented(doc)
     try:

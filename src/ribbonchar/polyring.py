@@ -908,16 +908,17 @@ class QSeries:
         The two series must occupy the identical window; comparing series
         with different windows is a usage error, not an inequality.  The
         first mismatch is the lowest q power of the difference, with the
-        two coefficients there.
+        two coefficients there.  Equal values are told by their term dicts,
+        so the difference is built only on a mismatch.
         """
         if self.offset != other.offset or self.order != other.order:
             raise ValueError(
                 f"window mismatch: ({self.offset}, {self.order}) vs "
                 f"({other.offset}, {other.order})"
             )
-        diff = self.value - other.value
-        if not diff:
+        if self.value == other.value:
             return True, None
+        diff = self.value - other.value
         j = min(k & _DIGIT for k in diff.terms) - _BIAS
         return False, (self.offset + j, self.coeffs[j], other.coeffs[j])
 
@@ -936,6 +937,13 @@ class QSeries:
         return " + ".join(bits) if bits else "0"
 
 
+def check_order(order):
+    """Raise OverflowError if q powers up to ``order`` leave the packed q
+    digit.  An enumeration sized by the order checks it before it starts."""
+    if order >= _HALF:
+        raise OverflowError(f"order {order} outside the packed range")
+
+
 def build_qseries(ring, offset, order, contributions):
     """Assemble a QSeries from (rational exponent, Laurent) contributions.
 
@@ -944,8 +952,7 @@ def build_qseries(ring, offset, order, contributions):
     sum is accumulated in place into one term dict; a contribution at
     offset + j adds j to each of its keys.
     """
-    if order >= _HALF:
-        raise OverflowError(f"order {order} outside the packed range")
+    check_order(order)
     offset = Fraction(offset)
     # j = expo - offset = (a*od - on*b) / (b*od) for expo = a/b, in integers
     on, od = offset.numerator, offset.denominator

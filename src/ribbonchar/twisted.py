@@ -205,6 +205,11 @@ def t_character(n, m):
 def sL_determinant(blocks, n):
     """Closed form of the fiber character: sigma times the bordered
     Hessenberg determinant in the t characters."""
+    return sigma_character(n) * _t_determinant(blocks, n)
+
+
+def _t_determinant(blocks, n):
+    """The bordered Hessenberg determinant in the t characters."""
     blocks = BorderStrip(blocks).columns  # rejects blocks below 1
     ring = Ring(n, relation=False)
     r = len(blocks)
@@ -216,7 +221,7 @@ def sL_determinant(blocks, n):
         matrix.append(
             [t_character(n, psum[r + 1 - i] - psum[r - j]) for j in range(size)]
         )
-    return sigma_character(n) * determinant(matrix)
+    return determinant(matrix)
 
 
 def twisted_t_statistic(blocks):
@@ -255,8 +260,13 @@ def _strip_sum(n, order, character):
 
 
 def twisted_decomposition(n, order):
-    """Strip-sum form of the level-1 character, via the determinant."""
-    return _strip_sum(n, order, partial(sL_determinant, n=n))
+    """Strip-sum form of the level-1 character, via the determinant.
+
+    Every strip's ``sL_determinant`` carries the same q-free factor sigma,
+    so the strips' q^t times determinant are summed first and the series is
+    multiplied by ``sigma_character`` once.
+    """
+    return _strip_sum(n, order, partial(_t_determinant, n=n)) * sigma_character(n)
 
 
 def twisted_character_brute(n, order):

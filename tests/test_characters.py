@@ -32,6 +32,7 @@ from ribbonchar.polyring import (
     inverse_pochhammer_series,
     q_pochhammer,
 )
+from ribbonchar import schur as schur_module
 from ribbonchar.schur import schur_straight_cached, schur_strip_cached
 from ribbonchar.shapes import BorderStrip, Partition, partitions_of, t_statistic
 from ribbonchar.spectra import Z_vertex, Z_vertex_direct, enumerate_Sp_N, motifs
@@ -164,6 +165,33 @@ def test_variants_agree():
             assert eq
 
 
+def test_pair_equals_the_single_variants(monkeypatch):
+    # The two variants are equal series, so each strip Schur function the
+    # decomposition looks up is scaled by 1 + its residue: a pair whose b
+    # summed a's strips, or the reverse, no longer matches the single calls.
+    # k = 0 and k = n/2 are self-dual: there b is a's summed value inverted.
+    real = schur_module.schur_strip_cached
+    depth = 0
+
+    def scaled(blocks, n, relation=False):
+        nonlocal depth
+        depth += 1
+        try:
+            value = real(blocks, n, relation)
+        finally:
+            depth -= 1
+        return value if depth else value * (1 + sum(blocks) % n)
+
+    monkeypatch.setattr(schur_module, "schur_strip_cached", scaled)
+    for n in range(1, 6):
+        for k in range(n):
+            for order in range(6):
+                a, b = level1_decomposition(n, k, order, "ab")
+                assert a == level1_decomposition(n, k, order, "a"), (n, k, order)
+                assert b == level1_decomposition(n, k, order, "b"), (n, k, order)
+                assert (a == b) == (2 * k % n == 0), (n, k, order)
+
+
 def strip_depth(n, cutoff):
     """Most columns a strip inside the window can have, by the bound proved
     in ``decomposition_strips``."""
@@ -189,11 +217,21 @@ def brute_force_strips(n, cutoff, residue, columns):
 
 
 def assert_strips_match_brute_force(n, cutoff, margin):
+    single = {}
     for residue in range(n):
-        got = list(decomposition_strips(n, cutoff, residue))
+        got = single[residue] = list(decomposition_strips(n, cutoff, residue))
         assert len(got) == len(set(got)), (n, cutoff, residue)
         expected = brute_force_strips(n, cutoff, residue, strip_depth(n, cutoff) + margin)
         assert set(got) == expected, (n, cutoff, residue)
+    # two residues from one search: the union, each class in its own order
+    for r in range(n):
+        for s in range(n):
+            got = list(decomposition_strips(n, cutoff, r, s))
+            assert len(got) == len(set(got)), (n, cutoff, r, s)
+            assert set(got) == set(single[r]) | set(single[s]), (n, cutoff, r, s)
+            for residue in (r, s):
+                own = [(b, e) for b, e in got if sum(b) % n == residue]
+                assert own == single[residue], (n, cutoff, r, s)
 
 
 def test_strips_match_brute_force():

@@ -455,6 +455,24 @@ def test_input_too_deep_for_recursion_is_usage_error(capsys, argv):
     assert code == 0 and json.loads(out)["polynomial"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("decompose", "--n", "3", "--k", "1", "--order", "1073741824"),
+    ("verify", "djkmo", "--n", "3", "--k", "1", "--order", "1073741824"),
+    ("twisted", "verify", "--n", "2", "--order", "1073741824"),
+])
+def test_order_outside_the_packed_range_is_usage_error(capsys, argv):
+    # 2^30 is the first order whose q powers leave the packed q digit; the
+    # check comes before any enumeration, so the call returns at once
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "outside the packed range" in json.loads(err)["error"]
+    # and the same command at a small order still answers
+    code, out, _ = run(capsys, *["3" if a == "1073741824" else a for a in argv])
+    assert code == 0 and json.loads(out)
+
+
 def test_closed_pipe_keeps_exit_code_and_prints_no_traceback():
     # about 529 KB of output, far beyond a pipe's buffer, so the command is
     # still writing when the reader closes its end after 100 bytes

@@ -399,6 +399,29 @@ def test_qseries_matches_coefficient_list_reference(case):
     assert qseries_from_json(json.loads(json.dumps(qseries_to_json(sa), default=laurent_terms))) == sa
 
 
+def compare_by_difference(a, b):
+    """The verdict read off the difference series: its lowest nonzero
+    power, with the two coefficients there."""
+    for j, c in enumerate((a - b).coeffs):
+        if c:
+            return False, (a.offset + j, a.coeffs[j], b.coeffs[j])
+    return True, None
+
+
+@settings(max_examples=80, deadline=None)
+@given(series_cases(), st.booleans())
+def test_compare_matches_difference_oracle(case, copy):
+    # ``copy`` compares a series with an equal one built afresh, so the
+    # values are equal but not the same object
+    ring, a, _b, same = case
+    sa = from_ref(ring, a)
+    other = from_ref(ring, a if copy else same)
+    got = sa.compare(other)
+    assert got == compare_by_difference(sa, other)
+    if copy:
+        assert got == (True, None)
+
+
 @settings(max_examples=60, deadline=None)
 @given(rings.flatmap(lambda ring: st.tuples(*[laurents(ring, st.integers(-2, 2))] * 3)))
 def test_laurent_ring_axioms_and_canonical_form(triple):

@@ -227,6 +227,22 @@ def test_decomposition_equals_fiber_sum():
         assert eq, (n, order, mismatch)
 
 
+def decomposition_per_strip(n, order):
+    """The strip sum with sigma inside every term: q^t times
+    ``sL_determinant`` of each strip in the window."""
+    return build_qseries(Ring(n, relation=False), 0, order, (
+        (twisted_t_statistic(blocks), sL_determinant(blocks, n))
+        for blocks in twisted_strips(order)
+    ))
+
+
+def test_decomposition_equals_per_strip_sigma_det():
+    for n in (1, 2, 3):
+        for order in range(7):
+            assert twisted_decomposition(n, order) == decomposition_per_strip(n, order), (
+                n, order)
+
+
 def theta_by_box(n, order):
     """The lattice sum over the box of shifts with every entry in
     -gmax-1..gmax, each vector of the box filtered by its grading."""
