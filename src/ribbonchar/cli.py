@@ -5,6 +5,13 @@ Every subcommand wraps a library operation pair and emits one JSON document
 equal, 1 a verification mismatch, 2 a usage error.  Output ordering is fixed
 (lexicographic exponent vectors, ascending q powers) so identical calls are
 byte-identical.
+
+The grammar is one table, ``COMMANDS``: per subcommand its help, its command
+function and its arguments as ``add_argument`` keywords.  ``build_parser``
+builds the argparse parser from it, and ``parse_direct`` reads a plain
+command line straight from it into the Namespace argparse would return.
+``main`` tries the direct parse first and hands every other command line to
+argparse, which stays the only source of help text and usage errors.
 """
 from __future__ import annotations
 
@@ -14,6 +21,7 @@ import json
 import os
 import sys
 import time
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import characters, schur, shapes, spectra, twisted
@@ -342,79 +350,148 @@ def cmd_twisted(args):
     raise UsageError(f"unknown twisted subcommand {args.twhat!r}")
 
 
+FLAG = {"action": "store_true"}
+
+# The grammar, written once: each subcommand's help, its command function and
+# its arguments as ``add_argument`` keywords, a name without a leading "-"
+# being a positional.  Typed options have no str default, so argparse never
+# converts a default.
+COMMANDS = {
+    "schur": ("skew Schur function by a chosen method", cmd_schur, {
+        "--shape": {"required": True},
+        "--n": {"type": int, "required": True},
+        "--relation": FLAG,
+        "--method": {"default": "enum", "choices": ["enum", "jt", "strip"]},
+        "--pretty": FLAG,
+    }),
+    "spectrum": ("list spectrum points of a truncation", cmd_spectrum, {
+        "--n": {"type": int, "required": True},
+        "--N": {"type": int, "required": True},
+        "--sector": {"type": int, "default": None},
+        "--csv": FLAG,
+    }),
+    "fiber": ("configurations over a spectrum point", cmd_fiber, {
+        "--n": {"type": int, "required": True},
+        "--h": {"required": True},
+        "--relation": FLAG,
+        "--pretty": FLAG,
+    }),
+    "decompose": ("strip decomposition series", cmd_decompose, {
+        "--n": {"type": int, "required": True},
+        "--k": {"type": int, "required": True},
+        "--order": {"type": int, "default": 6},
+        "--variant": {"default": "a", "choices": ["a", "b"]},
+        "--pretty": FLAG,
+    }),
+    "kostka": ("strip formula and extraction oracle", cmd_kostka, {
+        "--lambda": {"dest": "lam", "required": True},
+        "--n": {"type": int, "default": None},
+    }),
+    "verify": ("identity verification reports", cmd_verify, {
+        "what": {"choices": ["rogers", "djkmo", "polychronakos", "all"]},
+        "--n": {"type": int, "default": 2},
+        "--k": {"type": int, "default": 0},
+        "--N": {"type": int, "default": 4},
+        "--order": {"type": int, "default": 6},
+        "--quick": FLAG,
+    }),
+    "twisted": ("signed-alphabet model commands", cmd_twisted, {
+        "twhat": {"choices": ["verify", "schur"]},
+        "--n": {"type": int, "required": True},
+        "--order": {"type": int, "default": 5},
+        "--h": {"default": ""},
+        "--method": {"default": "enum", "choices": ["enum", "det", "fiber"]},
+        "--pretty": FLAG,
+    }),
+}
+
+
 @functools.cache
 def build_parser():
+    """The argparse parser of ``COMMANDS``: the source of help text and of
+    every usage error."""
     parser = argparse.ArgumentParser(
         prog="ribbonchar",
         description="Exact border-strip character computations and identity checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("schur", help="skew Schur function by a chosen method")
-    p.add_argument("--shape", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--relation", action="store_true")
-    p.add_argument("--method", default="enum", choices=["enum", "jt", "strip"])
-    p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=cmd_schur)
-
-    p = sub.add_parser("spectrum", help="list spectrum points of a truncation")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--sector", type=int, default=None)
-    p.add_argument("--csv", action="store_true")
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("fiber", help="configurations over a spectrum point")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--h", required=True)
-    p.add_argument("--relation", action="store_true")
-    p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=cmd_fiber)
-
-    p = sub.add_parser("decompose", help="strip decomposition series")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--order", type=int, default=6)
-    p.add_argument("--variant", default="a", choices=["a", "b"])
-    p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser("kostka", help="strip formula and extraction oracle")
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--n", type=int, default=None)
-    p.set_defaults(func=cmd_kostka)
-
-    p = sub.add_parser("verify", help="identity verification reports")
-    p.add_argument("what", choices=["rogers", "djkmo", "polychronakos", "all"])
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--k", type=int, default=0)
-    p.add_argument("--N", type=int, default=4)
-    p.add_argument("--order", type=int, default=6)
-    p.add_argument("--quick", action="store_true")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("twisted", help="signed-alphabet model commands")
-    p.add_argument("twhat", choices=["verify", "schur"])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--order", type=int, default=5)
-    p.add_argument("--h", default="")
-    p.add_argument("--method", default="enum", choices=["enum", "det", "fiber"])
-    p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=cmd_twisted)
-
+    for name, (help_text, func, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for token, spec in arguments.items():
+            p.add_argument(token, **spec)
+        p.set_defaults(func=func)
     return parser
 
 
+def parse_direct(argv):
+    """The Namespace of ``build_parser().parse_args(argv)``, read straight
+    from ``COMMANDS``, or None for any ``argv`` that is not plain.
+
+    Plain means an exact subcommand name, then exact option strings, each
+    given at most once, each valued one followed by one value that does not
+    start with "-", and one value per positional; each value converted by
+    its argument's type and found among its choices, and every required
+    argument given.  Anything else (help, abbreviations, ``--opt=value``, a
+    value starting with "-", a repeated or unknown option, a missing value,
+    a failed conversion or choice) is argparse's to parse or to refuse.
+    """
+    entry = COMMANDS.get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    _help, func, arguments = entry
+    values = {"command": argv[0], "func": func}
+    positionals = iter([token for token in arguments if token[0] != "-"])
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] == "-":
+            spec = arguments.get(token)
+            if spec is None:
+                return None
+            if spec.get("action") == "store_true":
+                value = True
+            else:
+                value = next(tokens, "-")  # a missing value reads as "-"
+                if value[:1] == "-":
+                    return None
+        else:
+            value = token
+            token = next(positionals, None)
+            if token is None:
+                return None
+            spec = arguments[token]
+        dest = spec.get("dest", token.lstrip("-"))
+        if dest in values:
+            return None
+        convert, choices = spec.get("type"), spec.get("choices")
+        if convert is not None:
+            try:
+                value = convert(value)
+            except (TypeError, ValueError):
+                return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    for token, spec in arguments.items():
+        dest = spec.get("dest", token.lstrip("-"))
+        if dest not in values:
+            if token[0] != "-" or spec.get("required"):
+                return None
+            values[dest] = False if spec.get("action") == "store_true" else spec.get("default")
+    return argparse.Namespace(**values)
+
+
 _PLAIN_INTS = {int}
+_SEQUENCES = {list, tuple}
 
 
 def dumps_indented(doc):
     """The text of ``json.dumps(doc, indent=2)``, byte for byte, in one walk.
 
     The stdlib encoder runs in pure Python whenever ``indent`` is set.  Here
-    a list of plain ints (bools excluded) is one join, and strings and keys
-    go through the stdlib's C escaping, so ``ensure_ascii`` output is kept.
+    a list of plain ints (bools excluded) is one join, a list of rows of
+    plain ints, all of one nonzero width (the ``fiber`` configurations), is
+    one ``%`` over one template, and strings and keys go through the
+    stdlib's C escaping, so ``ensure_ascii`` output is kept.
     Tuples are written as lists.  A ``Laurent`` is written as its terms list
     by ``polyring.terms_text``, straight from its packed keys.  Any other
     value (float, bool, None, a subclass) is handed to ``json.dumps`` and
@@ -439,9 +516,19 @@ def _write(value, newline, out):
             out.append("[]")
             return
         inner = newline + "  "
-        if {*map(type, value)} == _PLAIN_INTS:
+        kinds = {*map(type, value)}
+        if kinds == _PLAIN_INTS:
             out.append("[" + inner + ("," + inner).join(map(repr, value)) + newline + "]")
             return
+        if kinds <= _SEQUENCES and value[0] and len({*map(len, value)}) == 1:
+            flat = [*chain.from_iterable(value)]
+            if {*map(type, flat)} == _PLAIN_INTS:
+                # rows of plain ints, all of one width: one template, one %
+                cell = inner + "  "
+                row = "[" + cell + ("," + cell).join(["%d"] * len(value[0])) + inner + "]"
+                text = "[" + inner + ("," + inner).join([row] * len(value)) + newline + "]"
+                out.append(text % tuple(flat))
+                return
         sep = "[" + inner
         for item in value:
             out.append(sep)
@@ -468,11 +555,14 @@ def _write(value, newline, out):
 
 
 def main(argv=None):
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+    if argv is None:
+        argv = sys.argv[1:]
+    args = parse_direct(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return 2 if exc.code not in (0, None) else 0
     try:
         code, doc = args.func(args)
     except UsageError as exc:

@@ -1007,6 +1007,10 @@ def terms_text(poly, newline):
     are ``newline``: terms in lexicographic order of their canonical vectors,
     q pairs in ascending order.  One ``Ring._vector`` per x part, one sort of
     the vectors and one of each term's q pairs.
+
+    The text goes through ``%`` templates built once per call: a head with
+    one ``%d`` per vector entry, a q pair and the tail.  A term with one q
+    pair, the common case, is one ``%`` over its vector and its pair.
     """
     if not poly.terms:
         return "[]"
@@ -1016,16 +1020,19 @@ def terms_text(poly, newline):
     i3 = i2 + "  "
     i4 = i3 + "  "
     comma = "," + i3
-    head = "{" + i2 + '"x2": [' + i3
-    middle = i2 + "]," + i2 + '"q": [' + i3
+    head = ("{" + i2 + '"x2": [' + i3 + comma.join(["%d"] * poly.ring.n)
+            + i2 + "]," + i2 + '"q": [' + i3)
+    pair = "[" + i4 + "%d," + i4 + "%d" + i3 + "]"
     tail = i2 + "]" + i1 + "}"
+    single = head + pair + tail
     vector = poly.ring._vector
-    out = [
-        head + comma.join(map(str, vec)) + middle
-        + comma.join([f"[{i4}{e},{i4}{c}{i3}]" for e, c in sorted(groups[x].items())])
-        + tail
-        for vec, x in sorted([(vector(x), x) for x in groups])
-    ]
+    out = []
+    for vec, x in sorted([(vector(x), x) for x in groups]):
+        pairs = groups[x]
+        if len(pairs) == 1:
+            out.append(single % (*vec, *pairs.popitem()))
+        else:
+            out.append(head % vec + comma.join([pair % p for p in sorted(pairs.items())]) + tail)
     return "[" + i1 + ("," + i1).join(out) + newline + "]"
 
 

@@ -177,13 +177,15 @@ def _letter_moves(letters, H, bits, tail):
     """The letters allowed at each position of the words of
     ``local_energy_words``, tabulated once from H: ``moves[0][None]`` at the
     first position and ``moves[i][a]`` after a at position i, the last
-    letter meeting the tail too; no moves for empty ``bits``."""
+    letter meeting the tail too; no moves for empty ``bits``.  H is read
+    once per pair of letters and once per letter against the tail."""
     if not bits:
         return []
     letters = tuple(letters)
     ends = {a for a in letters if H(a, tail) == bits[-1]}
+    rows = [(a, [H(a, b) for b in letters]) for a in letters]
     follow = {
-        bit: {a: tuple(b for b in letters if H(a, b) == bit) for a in letters}
+        bit: {a: tuple(b for b, h in zip(letters, row) if h == bit) for a, row in rows}
         for bit in set(bits[:-1])
     }
     moves = [{None: letters}] + [follow[bit] for bit in bits[:-1]]

@@ -6,7 +6,7 @@ import re
 import subprocess
 import sys
 from collections import OrderedDict
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -291,6 +291,139 @@ def test_verify_all_reports_kostka_mismatch(capsys, monkeypatch):
     assert rhs - lhs == QPoly.term(1)
 
 
+# one plain command line per subcommand and verification
+COMMAND_LINES = [
+    ["schur", "--shape", "3,2/1", "--n", "3", "--method", "jt", "--pretty"],
+    ["spectrum", "--n", "3", "--N", "5"],
+    ["fiber", "--n", "3", "--h", "2,1,2", "--relation", "--pretty"],
+    ["decompose", "--n", "2", "--k", "1", "--order", "4", "--variant", "b", "--pretty"],
+    ["kostka", "--lambda", "3,1"],
+    ["verify", "rogers", "--n", "2", "--N", "4"],
+    ["verify", "djkmo", "--n", "2", "--k", "0", "--order", "4"],
+    ["verify", "polychronakos", "--n", "2", "--N", "4"],
+    ["verify", "all", "--quick"],
+    ["twisted", "verify", "--n", "1", "--order", "3"],
+    ["twisted", "schur", "--n", "2", "--h", "1,2", "--method", "det", "--pretty"],
+]
+
+
+def parsed_by_argparse(argv):
+    """``build_parser().parse_args(argv)``, or None where argparse exits
+    (for help or a usage error); its printing is discarded."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return cli.build_parser().parse_args(argv)
+        except SystemExit:
+            return None
+
+
+OPTIONS = sorted({t for _h, _f, args in cli.COMMANDS.values() for t in args if t[0] == "-"})
+# near misses of the table's own tokens: abbreviations, the = form, help,
+# bad values, unknown options and subcommands
+JUNK = ["--ord", "--lam", "--meth", "--n=3", "--order=4", "-h", "--help", "--", "-",
+        "-1", "-2", "x", "", "1.5", " 4", "٣", "3,1", "2,1/1", "--bogus", "wrong", "schur"]
+
+
+@st.composite
+def command_lines(draw):
+    """A command line built from one subcommand's table entry: every
+    required argument and some optional ones with valid values, in any
+    order; then, often, a few edits: a junk token inserted or put in place
+    of another, a token dropped or an option repeated."""
+    name = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    _help, _func, arguments = cli.COMMANDS[name]
+    number = st.sampled_from(["0", "1", "2", "3", "12", "007", "-1"])
+    text = st.sampled_from(["3,1", "2,1/1", "1", "", "x y", "-1", "-x"])
+    pieces = []
+    for token, spec in arguments.items():
+        if token[0] != "-":
+            pieces.append([draw(st.sampled_from(spec["choices"]))])
+        elif spec.get("required") or draw(st.booleans()):
+            if spec.get("action") == "store_true":
+                pieces.append([token])
+            elif spec.get("choices"):
+                pieces.append([token, draw(st.sampled_from(spec["choices"]))])
+            else:
+                pieces.append([token, draw(number if spec.get("type") else text)])
+    argv = [name] + [t for piece in draw(st.permutations(pieces)) for t in piece]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        edit = draw(st.sampled_from(["insert", "replace", "drop", "repeat"]))
+        at = draw(st.integers(0, len(argv)))
+        if edit == "insert":
+            argv.insert(at, draw(st.sampled_from(JUNK + OPTIONS)))
+        elif edit == "replace" and at < len(argv):
+            argv[at] = draw(st.sampled_from(JUNK + OPTIONS))
+        elif edit == "drop" and at < len(argv):
+            del argv[at]
+        elif edit == "repeat" and pieces:
+            argv += draw(st.sampled_from(pieces))
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    command_lines(),
+    command_lines(),
+    st.lists(st.sampled_from(JUNK + OPTIONS + sorted(cli.COMMANDS)), max_size=6),
+))
+@example(["verify", "djkmo", "--ord", "3"])
+@example(["kostka", "--lambda", "3,1", "--n", "-1"])
+@example(["fiber", "--n", "2", "--h", "1", "--pretty", "--pretty"])
+@example(["twisted", "--n", "2", "schur", "--h", "1,2"])
+@example(["fiber", "--n", "2", "--h", "--pretty"])
+@example(["schur", "--n", "1", "--shape"])
+@example(["verify", "wrong"])
+@example(["schur", "--shape", "2,1", "--n", "1", "--method", "x"])
+@example(["verify"])
+@example([])
+def test_direct_parse_agrees_with_argparse(argv):
+    direct = cli.parse_direct(argv)
+    parsed = parsed_by_argparse(argv)
+    if parsed is None:
+        assert direct is None
+    elif direct is not None:
+        assert direct == parsed
+
+
+@pytest.mark.parametrize("argv", COMMAND_LINES)
+def test_direct_parse_accepts_plain_command_lines(argv):
+    direct = cli.parse_direct(argv)
+    assert direct is not None
+    assert direct == cli.build_parser().parse_args(argv)
+
+
+def test_abbreviation_parses_through_argparse(capsys):
+    argv = ["verify", "djkmo", "--n", "2", "--ord", "3"]
+    assert cli.parse_direct(argv) is None
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["checks"][0]["parameters"] == {"n": 2, "k": 0, "order": 3}
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["schur", "--help"], ["verify", "all", "-h"]])
+def test_help_exits_0_and_prints_help(capsys, argv):
+    assert cli.parse_direct(argv) is None
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert out.startswith("usage: ribbonchar")
+    assert err == ""
+
+
+@pytest.mark.parametrize("argv, direct", [
+    (["schur", "--shape", "3,2/1", "--n", "2", "--method", "jt"], True),
+    (["schur", "--sha", "3,2/1", "--n", "2", "--method", "jt"], False),
+])
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch, argv, direct):
+    assert (cli.parse_direct(argv) is not None) == direct
+    expected = run(capsys, *argv)
+    monkeypatch.setattr(sys, "argv", ["ribbonchar", *argv])
+    code = main(None)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == expected
+    assert code == 0 and json.loads(captured.out)["method"] == "jt"
+
+
 # strings built from the fragments an encoder can get wrong
 tricky_text = st.lists(
     st.sampled_from(
@@ -298,6 +431,27 @@ tricky_text = st.lists(
          "[", "]", "{", "}", ",", " ", ":", '", "', "a"]
     )
 ).map("".join) | st.text()
+
+
+@st.composite
+def int_rows(draw):
+    """A list or tuple of rows of ints, all of one width, as the ``fiber``
+    configurations are; sometimes one entry is a bool or a nested list, or
+    one row is one entry longer, so the writer must fall back."""
+    width = draw(st.integers(0, 4))
+    cell = st.integers(-3, 3) | st.integers(-(10**30), 10**30)
+    rows = draw(st.lists(st.lists(cell, min_size=width, max_size=width), min_size=1, max_size=5))
+    flaw = draw(st.sampled_from(["none", "none", "bool", "nested", "longer"]))
+    i = draw(st.integers(0, len(rows) - 1))
+    if flaw == "longer":
+        rows[i].append(draw(cell))
+    elif flaw != "none" and width:
+        odd = draw(st.booleans()) if flaw == "bool" else draw(st.lists(cell, max_size=2))
+        rows[i][draw(st.integers(0, width - 1))] = odd
+    rows = [draw(st.sampled_from([list, tuple]))(row) for row in rows]
+    return draw(st.sampled_from([rows, tuple(rows)]))
+
+
 json_leaves = (
     st.none()
     | st.booleans()
@@ -307,6 +461,7 @@ json_leaves = (
     | tricky_text
     | st.lists(st.integers(-(10**30), 10**30))
     | st.lists(st.integers(-3, 3) | st.booleans())
+    | int_rows()
 )
 json_docs = st.recursive(
     json_leaves,
@@ -320,6 +475,10 @@ json_docs = st.recursive(
 
 @settings(max_examples=150, deadline=None)
 @given(json_docs)
+@example([[1, 2], [3, 4, 5], [6, 7]])
+@example(([1, True], (2, 3)))
+@example([(1, [2]), (3, 4)])
+@example([[], []])
 def test_writer_equals_stdlib_indent_2(doc):
     assert dumps_indented(doc) == json.dumps(doc, indent=2)
 
@@ -328,12 +487,16 @@ def test_writer_equals_stdlib_indent_2(doc):
 def laurent_values(draw):
     """A Laurent value of rank 1..4 with or without the relation: odd
     doubled exponents, negative q powers and large coefficients included,
-    and the zero polynomial whenever no terms are drawn or they cancel."""
+    and the zero polynomial whenever no terms are drawn or they cancel.
+    Most terms share one of a few vectors, so most vectors carry several q
+    powers."""
     ring = Ring(draw(st.integers(1, 4)), draw(st.booleans()))
     entry = st.integers(-5, 5) | st.integers(-(2**28), 2**28)
     power = st.integers(-4, 4) | st.integers(-(2**29), 2**29)
     coeff = st.integers(-3, 3) | st.integers(-(10**40), 10**40)
-    terms = draw(st.lists(st.tuples(st.tuples(*[entry] * ring.n), power, coeff), max_size=8))
+    vector = st.tuples(*[entry] * ring.n)
+    shared = st.sampled_from(draw(st.lists(vector, min_size=1, max_size=3)))
+    terms = draw(st.lists(st.tuples(shared | shared | vector, power, coeff), max_size=8))
     return ring.from_terms((vec, QPoly.term(e, c)) for vec, e, c in terms)
 
 
@@ -357,19 +520,7 @@ def test_writer_writes_laurent_values_as_the_oracle(doc):
     assert dumps_indented(doc) == json.dumps(doc, indent=2, default=laurent_terms)
 
 
-@pytest.mark.parametrize("argv", [
-    ["schur", "--shape", "3,2/1", "--n", "3", "--method", "jt", "--pretty"],
-    ["spectrum", "--n", "3", "--N", "5"],
-    ["fiber", "--n", "3", "--h", "2,1,2", "--relation", "--pretty"],
-    ["decompose", "--n", "2", "--k", "1", "--order", "4", "--variant", "b", "--pretty"],
-    ["kostka", "--lambda", "3,1"],
-    ["verify", "rogers", "--n", "2", "--N", "4"],
-    ["verify", "djkmo", "--n", "2", "--k", "0", "--order", "4"],
-    ["verify", "polychronakos", "--n", "2", "--N", "4"],
-    ["verify", "all", "--quick"],
-    ["twisted", "verify", "--n", "1", "--order", "3"],
-    ["twisted", "schur", "--n", "2", "--h", "1,2", "--method", "det", "--pretty"],
-])
+@pytest.mark.parametrize("argv", COMMAND_LINES)
 def test_stdout_is_stdlib_text_of_the_document(capsys, monkeypatch, argv):
     docs = []
 

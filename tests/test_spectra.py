@@ -4,11 +4,14 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ribbonchar.polyring import Ring, build_qseries
 from ribbonchar.schur import schur_enumerative
 from ribbonchar.shapes import BorderStrip, t_statistic
 from ribbonchar.spectra import (
+    _letter_moves,
     motif_excitation,
     SpectrumPoint,
     SpinConfiguration,
@@ -33,7 +36,8 @@ from ribbonchar.spectra import (
     polychronakos_ground_energy,
     weight,
 )
-from ribbonchar.tableaux import enumerate_sst, tableau_weight
+from ribbonchar.tableaux import enumerate_sst, signed_alphabet, tableau_weight
+from ribbonchar.twisted import local_energy_twisted
 
 
 def all_points(max_size, n):
@@ -240,6 +244,53 @@ def test_local_energy_words_matches_recursive_oracle():
         assert got == list(local_energy_words_recursive(letters, H, bits, tail))
     for tail in (0, 1):
         assert list(local_energy_words([1, 2], local_energy, [], tail)) == [()]
+
+
+def letter_moves_by_pairs(letters, H, bits, tail):
+    """The scan's table built pair by pair for each distinct bit, H called
+    letters**2 times per bit: the oracle for ``_letter_moves``."""
+    if not bits:
+        return []
+    letters = tuple(letters)
+    ends = {a for a in letters if H(a, tail) == bits[-1]}
+    follow = {
+        bit: {a: tuple(b for b in letters if H(a, b) == bit) for a in letters}
+        for bit in set(bits[:-1])
+    }
+    moves = [{None: letters}] + [follow[bit] for bit in bits[:-1]]
+    moves[-1] = {a: tuple(b for b in row if b in ends) for a, row in moves[-1].items()}
+    return moves
+
+
+def energy_model(n, twisted):
+    """(letters, H, tail) of the untwisted or the twisted scan at rank n."""
+    if twisted:
+        return signed_alphabet(n), lambda a, b: local_energy_twisted(a, b, n), 0
+    return tuple(range(1, n + 1)), local_energy, 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.booleans(), st.lists(st.integers(0, 1), max_size=12))
+def test_letter_moves_match_pairwise_construction(n, twisted, bits):
+    letters, H, tail = energy_model(n, twisted)
+    assert _letter_moves(letters, H, bits, tail) == letter_moves_by_pairs(letters, H, bits, tail)
+
+
+@pytest.mark.parametrize("twisted", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_letter_moves_read_each_pair_once(n, twisted):
+    letters, H, tail = energy_model(n, twisted)
+    calls = Counter()
+
+    def counting(a, b):
+        calls[a, b] += 1
+        return H(a, b)
+
+    bits = [1, 0, 0, 1, 1, 0, 1]
+    assert _letter_moves(letters, counting, bits, tail) == letter_moves_by_pairs(
+        letters, H, bits, tail
+    )
+    assert sum(calls.values()) <= len(letters) ** 2 + len(letters)
 
 
 def local_energy_sum_by_words(ring, letters, H, bits, tail, start, step):
