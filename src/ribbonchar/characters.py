@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate
 
 from .polyring import (
     QPoly,
@@ -19,7 +18,7 @@ from .polyring import (
     laurent_dot,
 )
 from .shapes import BorderStrip, Partition, partitions_of
-from .spectra import enumerate_Sp_N, polychronakos_ground_energy
+from .spectra import Z_vertex, enumerate_Sp_N, polychronakos_ground_energy
 from .tableaux import count_LR, kostka_numbers, lattice_column, lattice_start
 from . import schur as _schur
 
@@ -58,50 +57,31 @@ def rogers_szego(N, n):
     )
 
 
-_RSZ_REC_CACHE = {}
-
-
 def rogers_szego_recursive(N, n):
     """The same polynomials built purely from their recursion.
 
-    H_N = sum_{i=1..n} (-1)^(i+1) * prod_{j=N-i+1}^{N-1}(1-q^j) * e_i * H_{N-i}
-    with H_0 = 1 and H_{<0} = 0; the prefactor is the exact quotient of
-    q-factorials, expanded as a product.
+    H_M = sum_{i=1..min(n, M)} A_closed(M, i) * e_i * H_(M-i) with H_0 = 1,
+    built bottom-up from H_0 to H_N.
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
-    key = (N, n)
-    got = _RSZ_REC_CACHE.get(key)
-    if got is not None:
-        return got
     ring = Ring(n, relation=False)
-    if N == 0:
-        out = ring.one()
-    else:
-        products = []
-        for i in range(1, min(n, N) + 1):
-            pref = QPoly.const(1)
-            for j in range(N - i + 1, N):
-                pref = pref * QPoly({0: 1, j: -1})
-            products.append((1 if i % 2 == 1 else -1, _schur.e_m(ring, i) * pref,
-                             rogers_szego_recursive(N - i, n)))
-        out = laurent_dot(ring, products)
-    _RSZ_REC_CACHE[key] = out
-    return out
+    H = [ring.one()]
+    for M in range(1, N + 1):
+        H.append(laurent_dot(ring, [
+            (1, _schur.e_m(ring, i) * A_closed(M, i), H[M - i])
+            for i in range(1, min(n, M) + 1)
+        ]))
+    return H[N]
 
 
 def F_N(N, n):
-    """Strip sum: q^(N(N+1)/2 - sum of prefix sums) times each strip Schur."""
-    if N < 0:
-        raise ValueError("N must be nonnegative")
-    ring = Ring(n, relation=False)
-    base = N * (N + 1) // 2
-    zero = (0,) * n
-    return laurent_dot(ring, (
-        (1, _schur.schur_strip_cached(blocks, n),
-         ring.monomial(zero, QPoly.term(base - sum(accumulate(blocks)))))
-        for blocks in enumerate_Sp_N(N, n)
-    ))
+    """Strip sum: q^(N(N+1)/2 - sum of prefix sums) times each strip Schur.
+
+    This is ``Z_vertex``'s strip sum read at q -> 1/q and raised by the
+    ground energy, as that energy plus ``ground_sum(N, n)`` is N(N+1)/2.
+    """
+    return Z_vertex(N, n).value.subs_q_inverse() * QPoly.term(polychronakos_ground_energy(N, n))
 
 
 def _a_exponent(N, m, ks):
@@ -128,20 +108,6 @@ def A_closed(N, m):
     for i in range(N - m + 1, N):
         out = out * QPoly({0: 1, i: -1})
     return out if m % 2 == 1 else -out
-
-
-def A_split_contributions(N, m):
-    """The two sub-sums over ordered partitions ending in 1 versus >= 2."""
-    ending_one = QPoly()
-    bumped = QPoly()
-    for ks in enumerate_Sp_N(m, m):
-        term = QPoly.term(_a_exponent(N, m, ks))
-        signed = term if len(ks) % 2 == 1 else -term
-        if ks[-1] == 1:
-            ending_one = ending_one + signed
-        else:
-            bumped = bumped + signed
-    return ending_one, bumped
 
 
 def conformal_dimension(n, k):

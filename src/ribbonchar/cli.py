@@ -25,28 +25,14 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import characters, schur, shapes, spectra, twisted
-from .polyring import Laurent, QPoly, QSeries, qpoly_to_json, terms_text
-from .polyring import laurent_to_json as _laurent_json
-from .polyring import qseries_to_json as _qseries_json
+from .polyring import (
+    Laurent, QPoly, QSeries, laurent_to_json, qpoly_to_json, qseries_to_json, terms_text,
+)
 from .shapes import BorderStrip, Partition, SkewDiagram
 
 
 class UsageError(ValueError):
     pass
-
-
-def laurent_to_json(poly, pretty=False):
-    doc = _laurent_json(poly)
-    if pretty:
-        doc["pretty"] = str(poly)
-    return doc
-
-
-def qseries_to_json(series, pretty=False):
-    doc = _qseries_json(series)
-    if pretty:
-        doc["pretty"] = str(series)
-    return doc
 
 
 def report(identity, parameters, lhs, rhs, started):

@@ -187,10 +187,6 @@ class QPoly:
         """Multiply by q**d."""
         return QPoly._raw({e + d: v for e, v in self.c.items()})
 
-    def reversed_q(self):
-        """Substitute q -> 1/q."""
-        return QPoly._raw({-e: v for e, v in self.c.items()})
-
     def at(self):
         """Evaluate at q = 1."""
         return sum(self.c.values())
@@ -653,16 +649,6 @@ class Laurent:
             {k - 2 * ((k & _DIGIT) - _BIAS): c for k, c in self.terms.items()}
         ))
 
-    def permuted(self, perm):
-        """Apply x_i -> x_{perm[i-1]} (perm is a 1-indexed image list)."""
-        def image(v):
-            w = [0] * self.ring.n
-            for i, e in enumerate(v):
-                w[perm[i] - 1] = e
-            return tuple(w)
-
-        return self.ring.from_terms((image(v), c) for v, c in self._by_vector())
-
     def at_x_ones(self):
         """Evaluate every x_i at 1, leaving a QPoly."""
         out = {}
@@ -670,10 +656,6 @@ class Laurent:
             e = (k & _DIGIT) - _BIAS
             out[e] = out.get(e, 0) + c
         return QPoly(out)
-
-    def at_q_one(self):
-        """Evaluate q at 1, leaving integer coefficients."""
-        return self.ring.from_terms((v, c.at()) for v, c in self._by_vector())
 
     def to_ring(self, ring):
         """Recanonicalize into another ring of the same rank (``self`` in
@@ -983,22 +965,30 @@ def qpoly_to_json(p):
     return [[e, c] for e, c in p.pairs()]
 
 
-def laurent_to_json(poly):
-    """{"n": .., "relation": .., "terms": poly}.  The document carries the
-    value itself; ``terms_text`` writes it as the terms list."""
-    return {"n": poly.ring.n, "relation": poly.ring.relation, "terms": poly}
+def laurent_to_json(poly, pretty=False):
+    """{"n": .., "relation": .., "terms": poly}, and last "pretty", the
+    value's text, when ``pretty`` is set.  The document carries the value
+    itself; ``terms_text`` writes it as the terms list."""
+    doc = {"n": poly.ring.n, "relation": poly.ring.relation, "terms": poly}
+    if pretty:
+        doc["pretty"] = str(poly)
+    return doc
 
 
-def qseries_to_json(series):
+def qseries_to_json(series, pretty=False):
     """The Laurent format's rank and relation, the rational offset, the
-    truncation order, and one terms list per q power offset + 0..order."""
-    return {
+    truncation order, one terms list per q power offset + 0..order, and
+    last "pretty", the series' text, when ``pretty`` is set."""
+    doc = {
         "n": series.ring.n,
         "relation": series.ring.relation,
         "offset": str(series.offset),
         "order": series.order,
         "coefficients": series.coeffs,
     }
+    if pretty:
+        doc["pretty"] = str(series)
+    return doc
 
 
 def terms_text(poly, newline):

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from .polyring import Ring, determinant, elementary_symmetric, laurent_dot
 from .shapes import Partition, SkewDiagram, is_border_strip, partitions_of, strip_from_skew
-from .tableaux import STANDARD, filling_weights
+from .tableaux import STANDARD, count_LR, filling_weights
 
 
 _E_CACHE = {}
@@ -29,17 +29,22 @@ def schur_enumerative(shape, n, relation=False):
     return ring.from_terms(filling_weights(shape, n, STANDARD).items())
 
 
-def schur_jacobi_trudi(shape, n, relation=False):
-    """Determinant in elementary symmetric polynomials, size outer_1."""
-    ring = Ring(n, relation)
+def _e_matrix(shape, ring, conjugate=False):
+    """The Jacobi-Trudi matrix (e_{lam'_i - mu'_j - i + j}), size outer_1;
+    the conjugate function's matrix has each index d replaced by n - d."""
     lamc = shape.outer.conjugate()
     muc = shape.inner.conjugate()
     r = max(lamc.length(), 1)
-    matrix = [
-        [e_m(ring, lamc.part(i) - muc.part(j) - i + j) for j in range(1, r + 1)]
+    top, sign = (ring.n, -1) if conjugate else (0, 1)
+    return [
+        [e_m(ring, top + sign * (lamc.part(i) - muc.part(j) - i + j)) for j in range(1, r + 1)]
         for i in range(1, r + 1)
     ]
-    return determinant(matrix)
+
+
+def schur_jacobi_trudi(shape, n, relation=False):
+    """Determinant in elementary symmetric polynomials, size outer_1."""
+    return determinant(_e_matrix(shape, Ring(n, relation)))
 
 
 def schur_strip_cached(blocks, n, relation=False):
@@ -95,14 +100,7 @@ def schur_conjugate(shape, n):
     inverted-weight tableau sum; the two are asserted equal.
     """
     ring = Ring(n, relation=True)
-    lamc = shape.outer.conjugate()
-    muc = shape.inner.conjugate()
-    r = max(lamc.length(), 1)
-    matrix = [
-        [e_m(ring, n - lamc.part(i) + muc.part(j) + i - j) for j in range(1, r + 1)]
-        for i in range(1, r + 1)
-    ]
-    det = determinant(matrix)
+    det = determinant(_e_matrix(shape, ring, conjugate=True))
     inv = ring.from_terms(
         (tuple(-e for e in vec), c)
         for vec, c in filling_weights(shape, n, STANDARD).items()
@@ -123,8 +121,6 @@ def lr_expand(shape, n, method="auto"):
     if method == "auto":
         method = "strips" if is_border_strip(shape) else "extract"
     if method == "strips":
-        from .tableaux import count_LR
-
         bs = strip_from_skew(shape)
         out = {}
         for nu in partitions_of(bs.size(), max_length=n):

@@ -293,17 +293,3 @@ def drinfeld_polynomials(sd, n):
         const = -(Fraction(lamc.part(j) + muc.part(j), 2) - j + Fraction(1, 2))
         out[i].append((const, -1))
     return {i: tuple(sorted(roots)) for i, roots in out.items()}
-
-
-def drinfeld_root_str(root):
-    """Render a (constant, b-coefficient) root, e.g. '3/2-b'."""
-    const, bc = root
-    if bc == -1:
-        btxt = "-b"
-    elif bc == 1:
-        btxt = "+b"
-    else:
-        btxt = f"{bc:+d}*b"
-    if const == 0:
-        return btxt
-    return f"{const}{btxt}"

@@ -24,40 +24,39 @@ def local_energy(a, b):
     return 0 if a < b else 1
 
 
-class SpinConfiguration:
-    """Eventually periodic letter sequence, stored as (prefix, rank)."""
+class Configuration:
+    """A finite prefix of letters followed by the periodic ``tail()``
+    repeated forever, stored as (prefix, rank).  Two configurations are
+    equal when they have the same type, the same rank and the same prefix
+    once whole tail periods are trimmed from its end."""
 
     __slots__ = ("prefix", "n")
 
     def __init__(self, prefix, n):
-        prefix = tuple(prefix)
-        if any(not 1 <= a <= n for a in prefix):
-            raise ValueError(f"letters must lie in 1..{n}")
-        self.prefix = prefix
+        self.prefix = tuple(prefix)
         self.n = n
 
-    def sector(self):
-        return len(self.prefix) % self.n
-
     def canonical(self):
-        """Trim whole trailing periods (1, 2, ..., n) from the prefix."""
-        period = tuple(range(1, self.n + 1))
+        """Trim whole trailing tail periods from the prefix."""
+        period = self.tail()
+        k = len(period)
         prefix = self.prefix
-        while len(prefix) >= self.n and prefix[-self.n :] == period:
-            prefix = prefix[: -self.n]
+        while len(prefix) >= k and prefix[-k:] == period:
+            prefix = prefix[:-k]
         if prefix is self.prefix:
             return self
-        return SpinConfiguration(prefix, self.n)
+        return type(self)(prefix, self.n)
 
     def letter(self, i):
         """The i-th letter (1-indexed), following the periodic tail."""
         if i <= len(self.prefix):
             return self.prefix[i - 1]
-        return (i - len(self.prefix) - 1) % self.n + 1
+        period = self.tail()
+        return period[(i - len(self.prefix) - 1) % len(period)]
 
     def __eq__(self, other):
         return (
-            isinstance(other, SpinConfiguration)
+            type(other) is type(self)
             and self.n == other.n
             and self.canonical().prefix == other.canonical().prefix
         )
@@ -66,7 +65,24 @@ class SpinConfiguration:
         return hash((self.canonical().prefix, self.n))
 
     def __repr__(self):
-        return f"SpinConfiguration({self.prefix}, n={self.n})"
+        return f"{type(self).__name__}({self.prefix}, n={self.n})"
+
+
+class SpinConfiguration(Configuration):
+    """Eventually periodic letter sequence: letters 1..n, tail (1, ..., n)."""
+
+    __slots__ = ()
+
+    def __init__(self, prefix, n):
+        super().__init__(prefix, n)
+        if any(not 1 <= a <= n for a in self.prefix):
+            raise ValueError(f"letters must lie in 1..{n}")
+
+    def tail(self):
+        return tuple(range(1, self.n + 1))
+
+    def sector(self):
+        return len(self.prefix) % self.n
 
 
 class SpectrumPoint:

@@ -99,28 +99,19 @@ def strip_cell_order(shape):
     return sorted(shape.cells(), key=lambda rc: (-rc[1], rc[0]))
 
 
-def _pair_ok_standard(n):
-    def vertical(a, b):  # a above b
-        return a < b
+def _rules(alphabet, n):
+    """(letters in increasing order, vertical(above, below), horizontal(left,
+    right)) of the alphabet's fillings."""
+    if alphabet == STANDARD:
+        return list(range(1, n + 1)), lambda a, b: a < b, lambda left, right: right >= left
 
-    def horizontal(left, right):
-        return right >= left
-
-    return vertical, horizontal
-
-
-def _pair_ok_signed(n):
     def vertical(a, b):
-        if a == 0 and b == 0:
-            return True
-        return signed_pos(a, n) < signed_pos(b, n)
+        return (a == 0 and b == 0) or signed_pos(a, n) < signed_pos(b, n)
 
     def horizontal(left, right):
-        if left == 0 and right == 0:
-            return False
-        return signed_pos(right, n) >= signed_pos(left, n)
+        return not (left == 0 and right == 0) and signed_pos(right, n) >= signed_pos(left, n)
 
-    return vertical, horizontal
+    return signed_alphabet(n), vertical, horizontal
 
 
 def _enumerate(shape, n, alphabet, pinned=None):
@@ -130,12 +121,7 @@ def _enumerate(shape, n, alphabet, pinned=None):
     adjacency checks so an impossible pin yields an empty stream.
     """
     cells = sorted(shape.cells())
-    if alphabet == STANDARD:
-        letters = list(range(1, n + 1))
-        vertical, horizontal = _pair_ok_standard(n)
-    else:
-        letters = signed_alphabet(n)
-        vertical, horizontal = _pair_ok_signed(n)
+    letters, vertical, horizontal = _rules(alphabet, n)
     pinned = pinned or {}
     cellset = set(cells)
     entries = {}
@@ -208,12 +194,7 @@ def filling_weights(shape, n, alphabet, pinned=None):
     are tabulated once from the pair rules.  One weight vector is updated
     and restored letter by letter and counted at each complete filling.
     """
-    if alphabet == STANDARD:
-        letters = list(range(1, n + 1))
-        vertical, horizontal = _pair_ok_standard(n)
-    else:
-        letters = signed_alphabet(n)
-        vertical, horizontal = _pair_ok_signed(n)
+    letters, vertical, horizontal = _rules(alphabet, n)
     pinned = pinned or {}
     m = len(letters)
     rank = {a: r for r, a in enumerate(letters)}

@@ -15,7 +15,7 @@ from .polyring import (
     inverse_pochhammer_series,
 )
 from .shapes import BorderStrip, block_bits, blocks_from_ones
-from .spectra import local_energy_sum, local_energy_words
+from .spectra import Configuration, local_energy_sum, local_energy_words
 from .tableaux import (
     SIGNED,
     _pinned_strip,
@@ -32,41 +32,18 @@ def local_energy_twisted(a, b, n):
     return 0 if signed_pos(a, n) < signed_pos(b, n) else 1
 
 
-class TwistedConfiguration:
+class TwistedConfiguration(Configuration):
     """Finite prefix over the signed alphabet, followed by zeros."""
 
-    __slots__ = ("prefix", "n")
+    __slots__ = ()
 
     def __init__(self, prefix, n):
-        prefix = tuple(prefix)
-        for a in prefix:
+        super().__init__(prefix, n)
+        for a in self.prefix:
             signed_pos(a, n)  # validates
-        self.prefix = prefix
-        self.n = n
 
-    def canonical(self):
-        prefix = self.prefix
-        while prefix and prefix[-1] == 0:
-            prefix = prefix[:-1]
-        if prefix is self.prefix:
-            return self
-        return TwistedConfiguration(prefix, self.n)
-
-    def letter(self, i):
-        return self.prefix[i - 1] if i <= len(self.prefix) else 0
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TwistedConfiguration)
-            and self.n == other.n
-            and self.canonical().prefix == other.canonical().prefix
-        )
-
-    def __hash__(self):
-        return hash((self.canonical().prefix, self.n))
-
-    def __repr__(self):
-        return f"TwistedConfiguration({self.prefix}, n={self.n})"
+    def tail(self):
+        return (0,)
 
 
 def h_map_twisted(s):

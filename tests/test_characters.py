@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 from itertools import accumulate, product
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from ribbonchar.characters import (
     A_closed,
     A_coefficient,
-    A_split_contributions,
     F_N,
     branching_function,
     conformal_dimension,
@@ -30,13 +30,15 @@ from ribbonchar.polyring import (
     build_qseries,
     gaussian_multinomial,
     inverse_pochhammer_series,
+    laurent_dot,
     q_pochhammer,
 )
 from ribbonchar import schur as schur_module
-from ribbonchar.schur import schur_straight_cached, schur_strip_cached
+from ribbonchar.schur import e_m, schur_straight_cached, schur_strip_cached
 from ribbonchar.shapes import BorderStrip, Partition, partitions_of, t_statistic
 from ribbonchar.spectra import Z_vertex, Z_vertex_direct, enumerate_Sp_N, motifs
 from ribbonchar.tableaux import count_LR
+from helpers import A_split_contributions, at_q_one
 
 
 def q_truncated(poly, order):
@@ -60,13 +62,61 @@ def test_rogers_szego_at_one():
         for N in range(0, 6):
             ring = Ring(n)
             power = sum(ring.gens()[1:], ring.gens()[0]) ** N
-            assert rogers_szego(N, n).at_q_one() == power
+            assert at_q_one(rogers_szego(N, n)) == power
 
 
 def test_recursion_matches_direct():
     for n in (2, 3):
         for N in range(0, 8):
             assert rogers_szego_recursive(N, n) == rogers_szego(N, n)
+
+
+def strip_sum_by_loop(N, n):
+    """The strip sum as ``F_N`` once summed it, the oracle for ``F_N``:
+    q^(N(N+1)/2 - sum of prefix sums) times each strip Schur function."""
+    ring = Ring(n)
+    base = N * (N + 1) // 2
+    return laurent_dot(ring, (
+        (1, schur_strip_cached(blocks, n),
+         ring.monomial((0,) * n, QPoly.term(base - sum(accumulate(blocks)))))
+        for blocks in enumerate_Sp_N(N, n)
+    ))
+
+
+@functools.cache
+def rogers_szego_memo(N, n):
+    """The recursion top-down, memoised, as ``rogers_szego_recursive`` once
+    ran it: the oracle for its bottom-up build.  H_N = sum_{i=1..n}
+    (-1)^(i+1) prod_{j=N-i+1}^{N-1}(1-q^j) e_i H_(N-i), H_0 = 1."""
+    ring = Ring(n)
+    if N == 0:
+        return ring.one()
+    products = []
+    for i in range(1, min(n, N) + 1):
+        pref = QPoly.const(1)
+        for j in range(N - i + 1, N):
+            pref = pref * QPoly({0: 1, j: -1})
+        products.append((1 if i % 2 == 1 else -1, e_m(ring, i) * pref,
+                         rogers_szego_memo(N - i, n)))
+    return laurent_dot(ring, products)
+
+
+def test_F_matches_strip_loop():
+    for n in range(1, 5):
+        for N in range(0, 11):
+            assert F_N(N, n) == strip_sum_by_loop(N, n), (n, N)
+
+
+def test_recursion_matches_memoised_recursion():
+    for n in range(1, 5):
+        for N in range(0, 9):
+            assert rogers_szego_recursive(N, n) == rogers_szego_memo(N, n), (n, N)
+
+
+def test_recursion_depth_is_not_bounded_by_the_recursion_limit():
+    # n = 1: every prefactor is 1, so H_N = x_1^N; N = 1200 is past the
+    # default recursion limit, which a top-down recursion would hit
+    assert rogers_szego_recursive(1200, 1) == Ring(1).monomial((2400,))
 
 
 def test_F_examples():

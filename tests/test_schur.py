@@ -18,6 +18,7 @@ from ribbonchar.schur import (
     e_m,
 )
 from ribbonchar.shapes import BorderStrip, Partition, SkewDiagram, complement
+from helpers import permuted
 
 
 def strip_matrix_det(bs, n, relation=False):
@@ -148,7 +149,7 @@ def test_symmetry_under_transposition():
         i, j = rng.sample(range(1, n + 1), 2)
         perm = list(range(1, n + 1))
         perm[i - 1], perm[j - 1] = perm[j - 1], perm[i - 1]
-        assert poly.permuted(perm) == poly
+        assert permuted(poly, perm) == poly
 
 
 def test_conjugate_simple():

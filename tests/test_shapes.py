@@ -11,7 +11,6 @@ from ribbonchar.shapes import (
     blocks_from_ones,
     complement,
     drinfeld_polynomials,
-    drinfeld_root_str,
     is_border_strip,
     is_rank,
     partitions_of,
@@ -19,6 +18,7 @@ from ribbonchar.shapes import (
     t_statistic,
 )
 from ribbonchar.spectra import enumerate_Sp_N
+from helpers import drinfeld_root_str
 from test_schur import inner_partitions
 
 

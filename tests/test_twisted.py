@@ -6,6 +6,7 @@ import pytest
 
 from ribbonchar.polyring import Ring, build_qseries, inverse_pochhammer_series
 from ribbonchar.shapes import BorderStrip
+from ribbonchar.spectra import SpinConfiguration
 from ribbonchar.tableaux import enumerate_L_admissible, signed_alphabet, tableau_weight
 from ribbonchar.twisted import (
     TwistedConfiguration,
@@ -55,6 +56,29 @@ def test_canonical_trims_zeros():
     assert s.canonical().prefix == (1,)
     assert s == TwistedConfiguration((1,), 1)
     assert h_map_twisted(s) == ()
+
+
+def test_configuration_identity():
+    # one base class defines equality, hashing and repr for both models;
+    # its type check keeps the two models' configurations apart
+    assert SpinConfiguration((1,), 2) != TwistedConfiguration((1,), 2)
+    assert TwistedConfiguration((1,), 2) != SpinConfiguration((1,), 2)
+    assert len({SpinConfiguration((1,), 2), TwistedConfiguration((1,), 2)}) == 2
+    # trimmed and untrimmed prefixes are one configuration
+    for short, long in (
+        (SpinConfiguration((2,), 2), SpinConfiguration((2, 1, 2, 1, 2), 2)),
+        (SpinConfiguration((), 3), SpinConfiguration((1, 2, 3), 3)),
+        (TwistedConfiguration((1, 0, -2), 2), TwistedConfiguration((1, 0, -2, 0, 0), 2)),
+        (TwistedConfiguration((), 1), TwistedConfiguration((0,), 1)),
+    ):
+        assert short == long and hash(short) == hash(long)
+        assert long.canonical().prefix == short.prefix
+        assert long.letter(len(long.prefix) + 1) == short.letter(len(long.prefix) + 1)
+    assert SpinConfiguration((1,), 2) != SpinConfiguration((1,), 3)
+    assert TwistedConfiguration((1, 0), 2) != TwistedConfiguration((0, 1), 2)
+    # repr keeps the stored prefix, untrimmed
+    assert repr(TwistedConfiguration((1, 0), 2)) == "TwistedConfiguration((1, 0), n=2)"
+    assert repr(SpinConfiguration((2, 1, 2), 2)) == "SpinConfiguration((2, 1, 2), n=2)"
 
 
 def test_kappa_twisted():
