@@ -31,7 +31,7 @@ from .tableaux import (
     enumerate_L_admissible,
     enumerate_admissible,
     enumerate_sst,
-    filling_weights,
+    filling_sum,
     gz_from_sst,
     is_lattice_permutation,
     kostka_number,

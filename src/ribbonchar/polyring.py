@@ -78,6 +78,7 @@ Everything is immutable after construction and all integers are unbounded.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 DIGIT_BITS = 32
 _BIAS = 1 << (DIGIT_BITS - 1)
@@ -295,7 +296,7 @@ class Ring:
     """Context for Laurent polynomials: rank n, optional x_1*...*x_n = 1,
     and the packing of monomials into integer keys (module docstring)."""
 
-    __slots__ = ("n", "relation", "_one", "_wrap")
+    __slots__ = ("n", "relation", "_one", "_wrap", "_units")
 
     # One object per context, so identity is equality.  Sharing the table is
     # safe: its entries are immutable and keyed by their whole value, one per
@@ -315,6 +316,10 @@ class Ring:
             biased = n if self.relation else n + 1
             self._one = sum(_BIAS << (DIGIT_BITS * i) for i in range(biased))
             self._wrap = (1 << (DIGIT_BITS * biased + self.relation)) - 1
+            # _units[i] is the key of x_(i+1)^(1/2) minus K: a doubled vector
+            # w steps a key by sum_i w_i _units[i] (``symmetrized``)
+            self._units = tuple(self.pack([int(i == j) for j in range(n)]) - self._one
+                                for i in range(n))
         return self
 
     def __repr__(self):
@@ -413,7 +418,8 @@ class Ring:
 
         As an integer a key is K + sum_j d_j 2**(B*j), plus the parity digit
         under the relation, and every digit value d_j is linear in w.  So
-        with u_i the key of x_i^(1/2) minus K, the key of x^(w/2) is
+        with u_i the key of x_i^(1/2) minus K (``_units``, made with the
+        ring), the key of x^(w/2) is
         K + sum_i w_i u_i masked to the key's width: under the relation that
         sum puts w_n on the parity digit, and once the digits below it are
         in range the mask reduces it mod 2 (module docstring, "Additive").
@@ -424,8 +430,7 @@ class Ring:
         without the relation and max - min with it, where every digit
         w_i - w_n lies in [-(max - min), max - min].
         """
-        one, n, wrap = self._one, self.n, self._wrap
-        units = [self.pack([int(i == j) for j in range(n)]) - one for i in range(n)]
+        one, wrap = self._one, self._wrap
         out = {}
         get = out.get
         for vec in vecs:
@@ -433,7 +438,7 @@ class Ring:
             self.pack(top)
             values = sorted(set(top))
             level = {tuple(top.count(v) for v in values): [one]}
-            for u in units:
+            for u in self._units:
                 after = {}
                 for rest, keys in level.items():
                     for j, c in enumerate(rest):
@@ -449,39 +454,44 @@ class Ring:
         return Laurent._raw(self, out)
 
     def walk_sum(self, start, steps, moves):
-        """Sum over the walks a_1..a_m of x^(w/2), w = start + steps[a_1] +
-        ... + steps[a_m]: ``steps`` maps each letter to a doubled vector,
-        ``moves[0][None]`` lists the first letters and ``moves[i][a]`` the
-        letters that may follow a at position i (m = len(moves); no moves
-        give the empty walk).
+        """Sum over the walks of x^(w/2), w = start + steps[a_1] + ... +
+        steps[a_m] for a walk with letters a_1..a_m: ``steps`` maps each
+        letter to a doubled vector (of length n, or ValueError).  A walk
+        starts in the state None and takes one move per position;
+        ``moves[i][s]`` lists the moves (next state, letter) from state s at
+        position i (m = len(moves); no moves give the empty walk).  A state
+        is any hashable value, and ``moves[i]`` any mapping: one with
+        ``__missing__`` builds the moves of a state the first time a walk
+        reaches it there.
 
-        A transfer matrix over positions: the state after position i maps
-        each letter a to {key: number of walks a_1..a_i ending in a}.  A
-        walk's key is pack(start) plus pack(steps[a]) - K per letter a
-        (module docstring, "Additive"), so the work is letters^2 times the
-        distinct keys per position, not walks times length.
+        A transfer matrix over positions: after position i each state maps
+        to {key: number of walks that reach it}, so equal states merge and
+        the work is the moves times the distinct keys per state and
+        position, not walks times length.  A letter's key step is
+        sum_j steps[a]_j u_j (``_units``), so a walk's key is pack(start)
+        plus its steps (module docstring, "Additive").
 
         No partial sum carries: digit values are linear in w (w_j, or
         w_j - w_n under the relation), and with t_j = |start_j| + m * max_a
         |steps[a]_j| every partial sum has |w_j| <= t_j.  So one ``pack`` of
         the t_j (of the t_j + t_n, and 0 in slot n, under the relation)
         bounds every digit value below H, stored keys included, or raises.
-        The parity digit only adds up parity bits, with nothing above it,
+        The parity digit only sums the steps' w_n, with nothing above it,
         and the mask of the finished keys reduces it mod 2.
         """
-        one, m = self._one, len(moves)
-        units = {a: self.pack(v) - one for a, v in steps.items()}
+        m, units = len(moves), self._units
+        keys = {a: sum(map(mul, v, units)) for a, v in steps.items()}
         state = {None: {self.pack(start): 1}}
-        top = [abs(s) + m * max((abs(v[j]) for v in steps.values()), default=0)
-               for j, s in enumerate(start)]
+        peaks = [max(map(abs, column)) for column in zip(*steps.values(), strict=True)]
+        top = [abs(s) + m * p for s, p in zip(start, peaks or [0] * self.n, strict=True)]
         if self.relation:
             top = [t + top[-1] for t in top[:-1]] + [0]
         self.pack(top)
         for move in moves:
             after = {}
             for a, counts in state.items():
-                for b in move[a]:
-                    u = units[b]
+                for b, letter in move[a]:
+                    u = keys[letter]
                     row = after.get(b)
                     if row is None:
                         after[b] = {k + u: c for k, c in counts.items()}

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from .polyring import Ring, determinant, elementary_symmetric, laurent_dot
 from .shapes import Partition, SkewDiagram, is_border_strip, partitions_of, strip_from_skew
-from .tableaux import STANDARD, count_LR, filling_weights
+from .tableaux import STANDARD, count_LR, filling_sum
 
 
 _E_CACHE = {}
@@ -25,8 +25,7 @@ def e_m(ring, m):
 
 def schur_enumerative(shape, n, relation=False):
     """Sum of weight monomials over all semi-standard fillings."""
-    ring = Ring(n, relation)
-    return ring.from_terms(filling_weights(shape, n, STANDARD).items())
+    return filling_sum(Ring(n, relation), shape, STANDARD)
 
 
 def _e_matrix(shape, ring, conjugate=False):
@@ -101,10 +100,7 @@ def schur_conjugate(shape, n):
     """
     ring = Ring(n, relation=True)
     det = determinant(_e_matrix(shape, ring, conjugate=True))
-    inv = ring.from_terms(
-        (tuple(-e for e in vec), c)
-        for vec, c in filling_weights(shape, n, STANDARD).items()
-    )
+    inv = filling_sum(ring, shape, STANDARD).subs_x_inverse()
     if det != inv:
         raise AssertionError(f"conjugate determinant disagrees with sum for {shape}")
     return det

@@ -191,21 +191,22 @@ def phi_inverse(s, h):
 
 def _letter_moves(letters, H, bits, tail):
     """The letters allowed at each position of the words of
-    ``local_energy_words``, tabulated once from H: ``moves[0][None]`` at the
-    first position and ``moves[i][a]`` after a at position i, the last
-    letter meeting the tail too; no moves for empty ``bits``.  H is read
-    once per pair of letters and once per letter against the tail."""
+    ``local_energy_words``, tabulated once from H as ``Ring.walk_sum`` moves
+    whose state is the letter just placed: ``moves[0][None]`` at the first
+    position and ``moves[i][a]`` after a at position i, each a pair (b, b),
+    the last letter meeting the tail too; no moves for empty ``bits``.  H
+    is read once per pair of letters and once per letter against the tail."""
     if not bits:
         return []
     letters = tuple(letters)
     ends = {a for a in letters if H(a, tail) == bits[-1]}
     rows = [(a, [H(a, b) for b in letters]) for a in letters]
     follow = {
-        bit: {a: tuple(b for b, h in zip(letters, row) if h == bit) for a, row in rows}
+        bit: {a: tuple((b, b) for b, h in zip(letters, row) if h == bit) for a, row in rows}
         for bit in set(bits[:-1])
     }
-    moves = [{None: letters}] + [follow[bit] for bit in bits[:-1]]
-    moves[-1] = {a: tuple(b for b in row if b in ends) for a, row in moves[-1].items()}
+    moves = [{None: tuple(zip(letters, letters))}] + [follow[bit] for bit in bits[:-1]]
+    moves[-1] = {a: tuple(mv for mv in row if mv[0] in ends) for a, row in moves[-1].items()}
     return moves
 
 
@@ -221,17 +222,17 @@ def local_energy_words(letters, H, bits, tail):
     """
     moves = _letter_moves(letters, H, bits, tail)
     if len(moves) < 2:
-        yield from ([(a,) for a in moves[0][None]] if moves else [()])
+        yield from ([(a,) for a, _ in moves[0][None]] if moves else [()])
         return
     final = len(moves) - 1  # the words of this length pick their last letter
     stack = [((), iter(moves[0][None]))]
     while stack:
         prefix, choices = stack[-1]
-        for a in choices:
+        for a, _ in choices:
             word = prefix + (a,)
             i = len(word)
             if i == final:
-                for b in moves[i][a]:
+                for b, _ in moves[i][a]:
                     yield word + (b,)
             else:
                 stack.append((word, iter(moves[i][a])))

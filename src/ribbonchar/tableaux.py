@@ -8,14 +8,20 @@ that a vertical (0,0) pair is allowed and a horizontal (0,0) pair is not.
 Enumeration is a lazy cell-by-cell backtracking in row-major order, so both
 neighbours of a cell are already placed when it is tried; it yields one
 ``Tableau`` per filling, for the bijections and as the test oracle.  Three
-routes build no tableau.  ``filling_weights`` runs the same backtracking
-over letter ranks, with the letters allowed under each (above, left) pair
-tabulated once per call, and counts the weight vectors of the fillings; the
-Schur and twisted characters are read off it.  The two counts, lattice
-fillings of a border strip (``count_LR``, a fold of ``lattice_column`` over
-its columns) and Kostka numbers (``kostka_numbers``), are exact integer
-dynamic programmes.  Their state lives only for the call: a Kostka memo is
-shared by the shapes of one call, which all have one content.
+routes build no tableau.  ``filling_sum`` sums the weight monomials of the
+fillings in a given ring by a transfer matrix over the same cells in the
+same order, run by ``Ring.walk_sum``: the state after a cell is the
+frontier of letter ranks that later cells still read, equal frontiers
+merge, and the letters allowed under a pair of neighbours come in closed
+form from their ranks.  Its cost per cell is frontiers times letters, not
+fillings, and it recurses nowhere; the Schur and twisted characters are
+read off it.  The two counts, lattice fillings of a border strip
+(``count_LR``, a fold of ``lattice_column`` over its columns) and Kostka
+numbers (``kostka_numbers``), are exact integer dynamic programmes.  Their
+state lives only for the call: a Kostka memo is shared by the shapes of one
+call, which all have one content.  The moves of ``filling_sum`` are kept
+per alphabet and rank for the process (``_MOVES_CACHE``): each is a fixed
+function of its frontier.
 """
 from __future__ import annotations
 
@@ -179,78 +185,91 @@ def enumerate_L_admissible(bs, n):
     return _enumerate(shape, n, SIGNED, pinned=pinned)
 
 
-def filling_weights(shape, n, alphabet, pinned=None):
-    """Counter {``tableau_weight`` vector: number of fillings} over the
-    fillings of ``shape`` that the enumerators yield: ``enumerate_sst`` or
-    ``enumerate_admissible`` without pins, and with them the fillings whose
-    ``pinned`` cells hold their letters at half weight, as in
-    ``enumerate_L_admissible``.  A pin outside the alphabet raises
-    ``ValueError``; an impossible pin gives an empty Counter.
+class _CellMoves(dict):
+    """The ``Ring.walk_sum`` moves of the cells of one kind in
+    ``filling_sum``, keyed by the frontier before the cell and built the
+    first time a walk reaches that frontier there."""
 
-    The same row-major backtracking, without a ``Tableau`` per filling.
-    Letters are held as ranks in the alphabet order.  Each cell knows the
-    index of its above and left cells (a missing neighbour reads the extra
-    rank m), and the letters allowed under each (above, left) pair of ranks
-    are tabulated once from the pair rules.  One weight vector is updated
-    and restored letter by letter and counted at each complete filling.
+    __slots__ = ("plan",)
+
+    def __missing__(self, state):
+        up, left, drop, append, pin, zero, m = self.plan
+        lo = 0
+        if up:  # the cell above is the first of the frontier
+            lo = state[0] + (state[0] != zero)
+        if left:  # the cell to the left is the last
+            lo = max(lo, state[-1] + (state[-1] == zero))
+        if pin is None:
+            choices, shift = range(lo, m), 0
+        else:
+            choices, shift = (pin,) if pin >= lo else (), m
+        rest = state[up:len(state) - drop]
+        moves = self[state] = [(rest + (b,) if append else rest, b + shift) for b in choices]
+        return moves
+
+
+# (letters, rank of the signed 0 or -1) -> cell kind -> its moves
+_MOVES_CACHE = {}
+
+
+def filling_sum(ring, shape, alphabet, pinned=None):
+    """Sum in ``ring`` (of rank n) of the weight monomials
+    x^(``tableau_weight``/2) of the fillings of ``shape`` that the
+    enumerators yield: ``enumerate_sst`` or ``enumerate_admissible`` without
+    pins, and with them the fillings whose ``pinned`` cells hold their
+    letters at half weight, as in ``enumerate_L_admissible``.  A pin outside
+    the alphabet raises ``ValueError``; an impossible pin gives zero.
+
+    A transfer matrix over the cells in row-major order, run by
+    ``Ring.walk_sum``.  Letters are held as ranks in the alphabet order.
+    The state before a cell (r, c) is its frontier: the ranks of the cells
+    placed so far that a later cell reads as its above or left neighbour,
+    in cell order.  Row r - 2 is read up, and row r - 1 up to column c - 1,
+    so the frontier is the cells (r - 1, c' >= c) above a cell of row r,
+    then the cells (r, c' < c) that a cell reads later: the cell above
+    (r, c) comes first and the cell to its left last.  Placing the cell
+    drops the cell above, drops the cell to the left unless a cell lies
+    below it, and appends (r, c) if a cell lies below or right of it.  A
+    border strip keeps at most two ranks.  The letters allowed below rank
+    a and right of rank l are the ranks from max(a + 1, l) up, except that
+    the signed 0 may sit below a 0 but not right of one: the closed form of
+    the pair rules.  A pinned cell allows only its rank and steps by half a
+    letter, a letter of its own.  Cells of one kind (neighbours, drops,
+    append, pin) share their moves.
     """
-    letters, vertical, horizontal = _rules(alphabet, n)
+    n = ring.n
+    if alphabet == STANDARD:
+        m, zero = n, -1
+        slots = [(r, 2) for r in range(n)]
+    else:
+        m, zero = 2 * n + 1, n
+        slots = [(r, 2) for r in range(n)] + [(0, 0)] + [(n - 1 - r, -2) for r in range(n)]
+    steps = {r: (0,) * slot + (d,) + (0,) * (n - 1 - slot) for r, (slot, d) in enumerate(slots)}
     pinned = pinned or {}
-    m = len(letters)
-    rank = {a: r for r, a in enumerate(letters)}
-    # (slot, doubled step) of each rank, and the half steps of pinned cells;
-    # a signed 0 steps slot 0 by nothing
-    steps = [(abs(a) - 1, 2 if a > 0 else -2) if a else (0, 0) for a in letters]
-    half_steps = [(slot, step // 2) for slot, step in steps]
-    allowed = [
-        [
-            [
-                b
-                for b in range(m)
-                if (up == m or vertical(letters[up], letters[b]))
-                and (left == m or horizontal(letters[left], letters[b]))
-            ]
-            for left in range(m + 1)
-        ]
-        for up in range(m + 1)
-    ]
+    rank = {}
+    if pinned:
+        letters = list(range(1, n + 1)) if alphabet == STANDARD else signed_alphabet(n)
+        rank = {a: r for r, a in enumerate(letters)}
+        for a in pinned.values():
+            if a not in rank:
+                raise ValueError(f"pinned letter {a} outside the {alphabet} alphabet")
+            steps[rank[a] + m] = tuple(d // 2 for d in steps[rank[a]])
     cells = shape.cells()
-    ncells = len(cells)
-    index = {cell: i for i, cell in enumerate(cells)}
-    plan = []  # per cell: above index, left index, pinned rank or None, steps
+    inside = set(cells)
+    kinds = _MOVES_CACHE.setdefault((m, zero), {})
+    moves = []
     for r, c in cells:
-        pin = pinned.get((r, c))
-        if pin is not None and pin not in rank:
-            raise ValueError(f"pinned letter {pin} outside the {alphabet} alphabet")
-        plan.append((
-            index.get((r - 1, c), ncells),
-            index.get((r, c - 1), ncells),
-            None if pin is None else rank[pin],
-            steps if pin is None else half_steps,
-        ))
-    ranks = [m] * (ncells + 1)  # the extra slot is the missing neighbour
-    vec = [0] * n
-    out = Counter()
-
-    def fill(i):
-        if i == ncells:
-            out[tuple(vec)] += 1
-            return
-        up, left, pin, cell_steps = plan[i]
-        choices = allowed[ranks[up]][ranks[left]]
-        if pin is not None:
-            if pin not in choices:
-                return
-            choices = (pin,)
-        for b in choices:
-            slot, step = cell_steps[b]
-            ranks[i] = b
-            vec[slot] += step
-            fill(i + 1)
-            vec[slot] -= step
-
-    fill(0)
-    return out
+        left = (r, c - 1) in inside
+        kind = ((r - 1, c) in inside, left, left and (r + 1, c - 1) not in inside,
+                (r + 1, c) in inside or (r, c + 1) in inside, rank.get(pinned.get((r, c))))
+        move = kinds.get(kind)
+        if move is None:
+            move = kinds[kind] = _CellMoves()
+            move.plan = kind + (zero, m)
+        moves.append(move)
+    if moves:  # a walk starts in the state None, before an empty frontier
+        moves[0][None] = moves[0][()]
+    return ring.walk_sum((0,) * n, steps, moves)
 
 
 def tableau_weight(t):

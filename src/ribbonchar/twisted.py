@@ -19,7 +19,7 @@ from .spectra import Configuration, local_energy_sum, local_energy_words
 from .tableaux import (
     SIGNED,
     _pinned_strip,
-    filling_weights,
+    filling_sum,
     signed_alphabet,
     signed_pos,
 )
@@ -115,7 +115,7 @@ def chi_twisted(blocks, n, method="tableaux"):
     strip = kappa_twisted(blocks, n)
     if method == "tableaux":
         shape, pinned = _pinned_strip(strip, n)
-        return ring.from_terms(filling_weights(shape, n, SIGNED, pinned).items())
+        return filling_sum(ring, shape, SIGNED, pinned)
     if method == "fiber":
         return local_energy_sum(
             ring, *_fiber_scan(blocks, n), (-1,) * n,

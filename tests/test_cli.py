@@ -589,12 +589,11 @@ def test_fiber_command_character_counts_its_configurations(capsys):
 
 @pytest.mark.parametrize("argv", [
     ("kostka", "--lambda", "1100"),
-    ("schur", "--shape", "1100", "--n", "1"),
     ("schur", "--shape", "1100", "--n", "1", "--method", "jt"),
     ("schur", "--shape", "1100", "--n", "1", "--method", "strip"),
 ])
 def test_input_too_deep_for_recursion_is_usage_error(capsys, argv):
-    # one frame per cell, column or block: past the recursion limit the
+    # one frame per part, column or block: past the recursion limit the
     # input cannot be computed, which must not read as a mismatch (exit 1)
     code, out, err = run(capsys, *argv)
     assert code == 2
@@ -604,6 +603,14 @@ def test_input_too_deep_for_recursion_is_usage_error(capsys, argv):
     # and the same command at a small size still answers
     code, out, _ = run(capsys, *["3" if a == "1100" else a for a in argv])
     assert code == 0 and json.loads(out)["polynomial"]
+
+
+def test_tableau_sum_is_not_bounded_by_the_recursion_limit(capsys):
+    # the default method walks the cells without recursing: one row of
+    # 1100 cells has the single filling 1...1, weight x1^1100
+    code, out, err = run(capsys, "schur", "--shape", "1100", "--n", "1")
+    assert (code, err) == (0, "")
+    assert laurent_from_json(json.loads(out)["polynomial"]) == Ring(1).gen(1) ** 1100
 
 
 @pytest.mark.parametrize("argv", [

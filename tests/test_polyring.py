@@ -776,3 +776,76 @@ def test_symmetrized_checks_the_range_like_pack():
             else:
                 assert ring.symmetrized([vec]) == expected, (relation, vec)
     assert raised == {False, True}
+
+
+class BuiltOnDemand(dict):
+    """A move table that builds each state's moves from ``table`` on first
+    use, as ``Ring.walk_sum`` allows, and counts the builds."""
+
+    def __init__(self, table):
+        super().__init__()
+        self.table = table
+        self.built = []
+
+    def __missing__(self, state):
+        self.built.append(state)
+        moves = self[state] = self.table[state]
+        return moves
+
+
+@st.composite
+def walk_machines(draw):
+    """(n, start, steps, tables, lazy): letters with half and full steps,
+    one table per position from tuple states to (next state, letter) moves.
+    Every state a move can reach has a row, empty for a dead end; zero
+    positions give the empty walk."""
+    n = draw(st.integers(1, 3))
+    entries = st.tuples(*[st.integers(-2, 2)] * n)
+    steps = draw(st.dictionaries(st.sampled_from("abcd"), entries, min_size=1, max_size=4))
+    letters = sorted(steps)
+    start = draw(st.tuples(*[st.integers(-3, 3)] * n))
+    length = draw(st.integers(0, 5))
+    state = st.tuples(st.integers(0, 2), st.integers(0, 1)) | st.just(())
+    states = [[None]] + [draw(st.lists(state, min_size=1, max_size=3, unique=True))
+                         for _ in range(length)]
+    move = lambda i: st.tuples(st.sampled_from(states[i + 1]), st.sampled_from(letters))
+    tables = [{s: draw(st.lists(move(i), max_size=3)) for s in states[i]}
+              for i in range(length)]
+    lazy = draw(st.lists(st.booleans(), min_size=length, max_size=length))
+    return n, start, steps, tables, lazy
+
+
+def walks(tables, state=None, i=0):
+    """Letter sequences of every walk from ``state`` at position ``i``."""
+    if i == len(tables):
+        yield ()
+        return
+    for nxt, letter in tables[i][state]:
+        for rest in walks(tables, nxt, i + 1):
+            yield (letter,) + rest
+
+
+@settings(max_examples=150, deadline=None)
+@given(walk_machines())
+def test_walk_sum_matches_walk_enumeration(case):
+    n, start, steps, tables, lazy = case
+    for relation in (False, True):
+        ring = Ring(n, relation)
+        expected = ring.from_terms(
+            (tuple(map(sum, zip(start, *(steps[a] for a in word)))), 1)
+            for word in walks(tables))
+        moves = [BuiltOnDemand(t) if on_demand else t for t, on_demand in zip(tables, lazy)]
+        assert ring.walk_sum(start, steps, moves) == expected, relation
+        for move in moves:
+            if isinstance(move, BuiltOnDemand):
+                assert len(set(move.built)) == len(move.built)
+
+
+def test_walk_sum_rejects_vectors_of_another_length():
+    ring = Ring(2)
+    moves = [{None: [(None, "a")]}]
+    for start, steps in (((0, 0), {"a": (2,)}), ((0, 0), {"a": (2, 0, 0)}),
+                         ((0, 0), {"a": (2, 0), "b": (2,)}), ((0,), {"a": (2, 0)})):
+        with pytest.raises(ValueError):
+            ring.walk_sum(start, steps, moves)
+    assert ring.walk_sum((0, 0), {"a": (2, 0)}, moves) == ring.gen(1)

@@ -254,11 +254,12 @@ def letter_moves_by_pairs(letters, H, bits, tail):
     letters = tuple(letters)
     ends = {a for a in letters if H(a, tail) == bits[-1]}
     follow = {
-        bit: {a: tuple(b for b in letters if H(a, b) == bit) for a in letters}
+        bit: {a: tuple((b, b) for b in letters if H(a, b) == bit) for a in letters}
         for bit in set(bits[:-1])
     }
-    moves = [{None: letters}] + [follow[bit] for bit in bits[:-1]]
-    moves[-1] = {a: tuple(b for b in row if b in ends) for a, row in moves[-1].items()}
+    moves = [{None: tuple((a, a) for a in letters)}] + [follow[bit] for bit in bits[:-1]]
+    moves[-1] = {a: tuple((b, b) for b, _ in row if b in ends)
+                 for a, row in moves[-1].items()}
     return moves
 
 

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from ribbonchar.polyring import Ring
+from ribbonchar.schur import schur_enumerative, schur_jacobi_trudi
 from ribbonchar.shapes import BorderStrip, Partition, SkewDiagram, partitions_of
 from ribbonchar.spectra import enumerate_Sp_N
 from ribbonchar.tableaux import (
@@ -19,7 +21,7 @@ from ribbonchar.tableaux import (
     enumerate_L_admissible,
     enumerate_admissible,
     enumerate_sst,
-    filling_weights,
+    filling_sum,
     gz_from_sst,
     is_lattice_permutation,
     kostka_number,
@@ -30,6 +32,7 @@ from ribbonchar.tableaux import (
     sst_from_gz,
     tableau_weight,
 )
+from ribbonchar.twisted import kappa_twisted, sL_determinant
 from wire import tableau_from_json, tableau_to_json
 
 
@@ -302,15 +305,22 @@ ORACLE_LIMIT = 2000
 
 
 @st.composite
-def pinned_skew_fillings(draw):
-    """A skew shape of at most 9 cells, a rank, an alphabet, and pins on
-    some of its cells (None for no pins); pins may be impossible."""
-    outer = sorted(draw(st.lists(st.integers(1, 4), max_size=4)), reverse=True)
+def skew_shapes(draw, width, most):
+    """A skew shape of at most ``most`` cells, 4 rows and ``width`` columns."""
+    outer = sorted(draw(st.lists(st.integers(1, width), max_size=4)), reverse=True)
     inner = []
     for part in outer:
         inner.append(draw(st.integers(0, min([part, *inner[-1:]]))))
     shape = SkewDiagram(Partition(outer), Partition(inner))
-    assume(shape.size() <= 9)
+    assume(shape.size() <= most)
+    return shape
+
+
+@st.composite
+def pinned_skew_fillings(draw):
+    """A skew shape of at most 9 cells, a rank, an alphabet, and pins on
+    some of its cells (None for no pins); pins may be impossible."""
+    shape = draw(skew_shapes(4, 9))
     n = draw(st.integers(1, 3))
     alphabet = draw(st.sampled_from([STANDARD, SIGNED]))
     letters = list(range(1, n + 1)) if alphabet == STANDARD else signed_alphabet(n)
@@ -337,8 +347,15 @@ def test_filling_weights_match_tableau_enumerators(case):
         oracle = _enumerate(shape, n, alphabet, pinned)
     fillings = list(islice(oracle, ORACLE_LIMIT + 1))
     assume(len(fillings) <= ORACLE_LIMIT)
-    want = Counter(tableau_weight(t) for t in fillings)
-    assert filling_weights(shape, n, alphabet, pinned) == want
+    assert_filling_sums(fillings, shape, n, alphabet, pinned)
+
+
+def assert_filling_sums(fillings, shape, n, alphabet, pinned):
+    """``filling_sum`` equals the oracle's fillings summed in both rings."""
+    for relation in (False, True):
+        ring = Ring(n, relation)
+        want = ring.from_terms((tableau_weight(t), 1) for t in fillings)
+        assert filling_sum(ring, shape, alphabet, pinned) == want, relation
 
 
 @st.composite
@@ -363,16 +380,48 @@ def test_filling_weights_match_pinned_strips(case):
     fillings = list(islice(enumerate_L_admissible(bs, n), ORACLE_LIMIT + 1))
     assume(len(fillings) <= ORACLE_LIMIT)
     shape, pinned = _pinned_strip(bs, n)
-    assert filling_weights(shape, n, SIGNED, pinned) == Counter(
-        tableau_weight(t) for t in fillings)
+    assert_filling_sums(fillings, shape, n, SIGNED, pinned)
+
+
+def compositions(size):
+    """Every block list of the given size, in lexicographic order."""
+    if size == 0:
+        yield ()
+        return
+    for first in range(1, size + 1):
+        for rest in compositions(size - first):
+            yield (first,) + rest
+
+
+def test_filling_sums_of_pinned_strips_match_sL_determinant():
+    # every strip of pinned_strips, the ones past ORACLE_LIMIT included:
+    # 512 + 32 + 16 block lists, up to 3,528 fillings at n = 3
+    checked = 0
+    for n, top in ((1, 9), (2, 5), (3, 4)):
+        for size in range(top + 1):
+            for blocks in compositions(size):
+                shape, pinned = _pinned_strip(kappa_twisted(blocks, n), n)
+                got = filling_sum(Ring(n), shape, SIGNED, pinned)
+                assert got == sL_determinant(blocks, n), (n, blocks)
+                checked += 1
+    assert checked == 560
+
+
+@settings(max_examples=60, deadline=None)
+@given(skew_shapes(6, 12), st.integers(1, 4), st.booleans())
+@example(SkewDiagram.from_str("6,6/0"), 4, False)
+@example(SkewDiagram.from_str("6,6,6,6/6,4,2"), 3, True)
+def test_filling_sums_match_jacobi_trudi_on_skew_shapes(shape, n, relation):
+    # up to 12 cells and 4 letters, far past ORACLE_LIMIT fillings
+    assert schur_enumerative(shape, n, relation) == schur_jacobi_trudi(shape, n, relation)
 
 
 def test_filling_weights_reject_pins_outside_the_alphabet():
     shape = SkewDiagram.from_str("2/0")
     with pytest.raises(ValueError):
-        filling_weights(shape, 2, STANDARD, {(1, 1): 3})
+        filling_sum(Ring(2), shape, STANDARD, {(1, 1): 3})
     with pytest.raises(ValueError):
-        filling_weights(shape, 2, SIGNED, {(1, 2): -3})
+        filling_sum(Ring(2), shape, SIGNED, {(1, 2): -3})
 
 
 def test_tableau_json_round_trip():
