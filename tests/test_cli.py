@@ -591,6 +591,7 @@ def test_fiber_command_character_counts_its_configurations(capsys):
     ("kostka", "--lambda", "1100"),
     ("schur", "--shape", "1100", "--n", "1", "--method", "jt"),
     ("schur", "--shape", "1100", "--n", "1", "--method", "strip"),
+    ("schur", "--shape", "1100", "--n", "1", "--relation", "--method", "strip"),
 ])
 def test_input_too_deep_for_recursion_is_usage_error(capsys, argv):
     # one frame per part, column or block: past the recursion limit the
