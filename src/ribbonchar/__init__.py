@@ -65,7 +65,6 @@ from .spectra import (
 )
 from .characters import (
     A_closed,
-    A_coefficient,
     F_N,
     KostkaResult,
     branching_function,

@@ -18,7 +18,7 @@ from .polyring import (
     laurent_dot,
 )
 from .shapes import BorderStrip, Partition, partitions_of
-from .spectra import Z_vertex, enumerate_Sp_N, polychronakos_ground_energy
+from .spectra import Z_vertex, polychronakos_ground_energy
 from .tableaux import count_LR, kostka_numbers, lattice_column, lattice_start
 from . import schur as _schur
 
@@ -82,22 +82,6 @@ def F_N(N, n):
     ground energy, as that energy plus ``ground_sum(N, n)`` is N(N+1)/2.
     """
     return Z_vertex(N, n).value.subs_q_inverse() * QPoly.term(polychronakos_ground_energy(N, n))
-
-
-def _a_exponent(N, m, ks):
-    j = len(ks)
-    return N * (m - j) - m * (m + 1) // 2 + sum(i * k for i, k in enumerate(ks, 1))
-
-
-def A_coefficient(N, m, n=None):
-    """Signed sum over ordered partitions of m (parts <= n when given)."""
-    if not 1 <= m <= N:
-        raise ValueError("need 1 <= m <= N")
-    out = QPoly()
-    for ks in enumerate_Sp_N(m, m if n is None else n):
-        term = QPoly.term(_a_exponent(N, m, ks))
-        out = out + (term if len(ks) % 2 == 1 else -term)
-    return out
 
 
 def A_closed(N, m):

@@ -1,17 +1,16 @@
 """Skew Schur functions by tableau enumeration, by the elementary-symmetric
 determinant, and, for border strips, by the first-row expansion of the strip's
-Hessenberg determinant memoised on prefixes, plus the expansion into straight
-Schur functions."""
+Hessenberg determinant memoised on prefixes, plus the expansion of a border
+strip into straight Schur functions."""
 from __future__ import annotations
 
 from .polyring import Ring, determinant, elementary_symmetric, laurent_dot
-from .shapes import Partition, SkewDiagram, is_border_strip, partitions_of, strip_from_skew
+from .shapes import partitions_of, strip_from_skew
 from .tableaux import STANDARD, count_LR, filling_sum
 
 
 _E_CACHE = {}
 _STRIP_CACHE = {}
-_STRAIGHT_CACHE = {}
 
 
 def e_m(ring, m):
@@ -81,61 +80,20 @@ def schur_strip_cached(blocks, n, relation=False):
     return out
 
 
-def schur_straight_cached(nu, n, relation=False):
-    """Straight-shape Schur function, memoized (used by expansions)."""
-    key = (nu.parts, n, relation)
-    got = _STRAIGHT_CACHE.get(key)
-    if got is None:
-        got = _STRAIGHT_CACHE[key] = schur_jacobi_trudi(
-            SkewDiagram(nu, Partition()), n, relation
-        )
-    return got
-
-
 def schur_conjugate(shape, n):
-    """Conjugate Schur function, in relation mode.
-
-    Computed both as det(e_{n - lam'_i + mu'_j + i - j}) and as the
-    inverted-weight tableau sum; the two are asserted equal.
-    """
-    ring = Ring(n, relation=True)
-    det = determinant(_e_matrix(shape, ring, conjugate=True))
-    inv = filling_sum(ring, shape, STANDARD).subs_x_inverse()
-    if det != inv:
-        raise AssertionError(f"conjugate determinant disagrees with sum for {shape}")
-    return det
+    """Conjugate Schur function, in relation mode:
+    det(e_{n - lam'_i + mu'_j + i - j})."""
+    return determinant(_e_matrix(shape, Ring(n, relation=True), conjugate=True))
 
 
-def lr_expand(shape, n, method="auto"):
-    """Expansion coefficients {nu: c} with sum_nu c * s_nu = s_shape.
-
-    Border strips are counted shape by shape through their lattice fillings;
-    general shapes go through triangular extraction (the lexicographically
-    largest monomial of a symmetric polynomial is a partition whose straight
-    Schur function can be peeled off).  The two routes agree on strips.
-    """
-    if method == "auto":
-        method = "strips" if is_border_strip(shape) else "extract"
-    if method == "strips":
-        bs = strip_from_skew(shape)
-        out = {}
-        for nu in partitions_of(bs.size(), max_length=n):
-            c = count_LR(bs, nu)
-            if c:
-                out[nu] = c
-        return out
-    if method != "extract":
-        raise ValueError("method must be 'auto', 'strips' or 'extract'")
-    rest = schur_enumerative(shape, n, relation=False)
+def lr_expand(shape, n):
+    """Expansion coefficients {nu: c} with sum_nu c * s_nu = s_shape of a
+    border strip, counted shape by shape through its lattice fillings; a
+    shape that is not a border strip raises ``ValueError``."""
+    bs = strip_from_skew(shape)
     out = {}
-    while rest:
-        vec, c = rest.sorted_terms()[-1]
-        if any(e % 2 for e in vec):
-            raise AssertionError("odd doubled exponent in a standard weight")
-        nu = Partition(e // 2 for e in vec)
-        cval = c.c.get(0)
-        if set(c.c) - {0} or not cval or cval < 0:
-            raise AssertionError(f"bad leading coefficient {c}")
-        out[nu] = cval
-        rest = rest - schur_straight_cached(nu, n) * cval
+    for nu in partitions_of(bs.size(), max_length=n):
+        c = count_LR(bs, nu)
+        if c:
+            out[nu] = c
     return out

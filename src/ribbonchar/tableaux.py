@@ -120,15 +120,32 @@ def _rules(alphabet, n):
     return signed_alphabet(n), vertical, horizontal
 
 
+def _pin_ranks(shape, n, alphabet, pinned):
+    """{cell: rank of its letter in the alphabet order} of the pins; a pin
+    on a cell outside ``shape`` or of a letter outside the alphabet raises
+    ``ValueError``."""
+    rank = {a: r for r, a in enumerate(_rules(alphabet, n)[0])}
+    out = {}
+    for (r, c), a in pinned.items():
+        if not shape.inner.part(r) < c <= shape.outer.part(r):
+            raise ValueError(f"pinned cell {(r, c)} outside {shape}")
+        if a not in rank:
+            raise ValueError(f"pinned letter {a} outside the {alphabet} alphabet")
+        out[r, c] = rank[a]
+    return out
+
+
 def _enumerate(shape, n, alphabet, pinned=None):
     """Backtracking generator over valid fillings.
 
-    ``pinned`` maps cells to forced letters; forced cells still undergo the
-    adjacency checks so an impossible pin yields an empty stream.
+    ``pinned`` maps cells to forced letters, checked by ``_pin_ranks``;
+    forced cells still undergo the adjacency checks so an impossible pin
+    yields an empty stream.
     """
     cells = sorted(shape.cells())
     letters, vertical, horizontal = _rules(alphabet, n)
     pinned = pinned or {}
+    _pin_ranks(shape, n, alphabet, pinned)
     cellset = set(cells)
     entries = {}
 
@@ -217,8 +234,9 @@ def filling_sum(ring, shape, alphabet, pinned=None):
     x^(``tableau_weight``/2) of the fillings of ``shape`` that the
     enumerators yield: ``enumerate_sst`` or ``enumerate_admissible`` without
     pins, and with them the fillings whose ``pinned`` cells hold their
-    letters at half weight, as in ``enumerate_L_admissible``.  A pin outside
-    the alphabet raises ``ValueError``; an impossible pin gives zero.
+    letters at half weight, as in ``enumerate_L_admissible``.  A pin that
+    ``_pin_ranks`` rejects raises ``ValueError``; an impossible pin gives
+    zero.
 
     A transfer matrix over the cells in row-major order, run by
     ``Ring.walk_sum``.  Letters are held as ranks in the alphabet order.
@@ -245,15 +263,9 @@ def filling_sum(ring, shape, alphabet, pinned=None):
         m, zero = 2 * n + 1, n
         slots = [(r, 2) for r in range(n)] + [(0, 0)] + [(n - 1 - r, -2) for r in range(n)]
     steps = {r: (0,) * slot + (d,) + (0,) * (n - 1 - slot) for r, (slot, d) in enumerate(slots)}
-    pinned = pinned or {}
-    rank = {}
-    if pinned:
-        letters = list(range(1, n + 1)) if alphabet == STANDARD else signed_alphabet(n)
-        rank = {a: r for r, a in enumerate(letters)}
-        for a in pinned.values():
-            if a not in rank:
-                raise ValueError(f"pinned letter {a} outside the {alphabet} alphabet")
-            steps[rank[a] + m] = tuple(d // 2 for d in steps[rank[a]])
+    pins = _pin_ranks(shape, n, alphabet, pinned) if pinned else {}
+    for p in pins.values():
+        steps[p + m] = tuple(d // 2 for d in steps[p])
     cells = shape.cells()
     inside = set(cells)
     kinds = _MOVES_CACHE.setdefault((m, zero), {})
@@ -261,7 +273,7 @@ def filling_sum(ring, shape, alphabet, pinned=None):
     for r, c in cells:
         left = (r, c - 1) in inside
         kind = ((r - 1, c) in inside, left, left and (r + 1, c - 1) not in inside,
-                (r + 1, c) in inside or (r, c + 1) in inside, rank.get(pinned.get((r, c))))
+                (r + 1, c) in inside or (r, c + 1) in inside, pins.get((r, c)))
         move = kinds.get(kind)
         if move is None:
             move = kinds[kind] = _CellMoves()

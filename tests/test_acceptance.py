@@ -10,7 +10,6 @@ from fractions import Fraction
 
 from ribbonchar.characters import (
     A_closed,
-    A_coefficient,
     F_N,
     kostka_foulkes,
     kostka_oracle,
@@ -51,6 +50,7 @@ from ribbonchar.tableaux import (
     tableau_weight,
 )
 from ribbonchar import twisted as tw
+from helpers import A_coefficient, conjugate_by_fillings
 from test_schur import strip_matrix_det
 
 
@@ -268,9 +268,9 @@ def test_criterion_08_conjugate_complement():
         if sd.rank() <= n:
             cases.append((sd, n))
     for sd, n in cases:
-        assert schur_conjugate(sd, n) == schur_enumerative(
-            complement(sd, n), n, relation=True
-        ), (str(sd), n)
+        conj = schur_conjugate(sd, n)
+        assert conj == schur_enumerative(complement(sd, n), n, relation=True), (str(sd), n)
+        assert conj == conjugate_by_fillings(sd, n), (str(sd), n)
     announce(8, "conjugate Schur equals complement Schur under the relation")
 
 

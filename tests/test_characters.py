@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from ribbonchar.characters import (
     A_closed,
-    A_coefficient,
     F_N,
     branching_function,
     conformal_dimension,
@@ -34,11 +33,11 @@ from ribbonchar.polyring import (
     q_pochhammer,
 )
 from ribbonchar import schur as schur_module
-from ribbonchar.schur import e_m, schur_straight_cached, schur_strip_cached
+from ribbonchar.schur import e_m, schur_strip_cached
 from ribbonchar.shapes import BorderStrip, Partition, partitions_of, t_statistic
 from ribbonchar.spectra import Z_vertex, Z_vertex_direct, enumerate_Sp_N, motifs
 from ribbonchar.tableaux import count_LR
-from helpers import A_split_contributions, at_q_one
+from helpers import A_coefficient, A_split_contributions, at_q_one, schur_straight
 
 
 def q_truncated(poly, order):
@@ -531,7 +530,7 @@ def test_kostka_dimension_sum():
                 if lam.length() > n:
                     continue
                 kq = kostka_foulkes(lam, n).polynomial.at()
-                dim = schur_straight_cached(lam, n).at_x_ones().at()
+                dim = schur_straight(lam, n).at_x_ones().at()
                 total += kq * dim
             assert total == n ** N, (n, N)
 
@@ -630,7 +629,7 @@ def test_branching_consistency():
     acc = build_qseries(Ring(n, relation=True), dec.offset, order, [])
     for m in range(1, 14, n):
         lam = Partition((m,))
-        acc = acc + branching_function(k, lam, n, order) * schur_straight_cached(
+        acc = acc + branching_function(k, lam, n, order) * schur_straight(
             lam, n, relation=True
         )
     assert acc.compare(dec)[0]

@@ -14,11 +14,10 @@ from ribbonchar.schur import (
     schur_enumerative,
     schur_jacobi_trudi,
     schur_strip_cached,
-    schur_straight_cached,
     e_m,
 )
 from ribbonchar.shapes import BorderStrip, Partition, SkewDiagram, complement
-from helpers import permuted
+from helpers import conjugate_by_fillings, lr_extract, permuted, schur_straight
 
 
 def strip_matrix_det(bs, n, relation=False):
@@ -153,10 +152,13 @@ def test_symmetry_under_transposition():
 
 
 def test_conjugate_simple():
-    assert schur_conjugate(SkewDiagram.from_str("0/0"), 2) == Ring(2, True).one()
+    empty, box = SkewDiagram.from_str("0/0"), SkewDiagram.from_str("1/0")
+    assert schur_conjugate(empty, 2) == Ring(2, True).one()
+    assert schur_conjugate(empty, 2) == conjugate_by_fillings(empty, 2)
     ring = Ring(2, True)
     x1, x2 = ring.gens()
-    assert schur_conjugate(SkewDiagram.from_str("1/0"), 2) == x1 + x2
+    assert schur_conjugate(box, 2) == x1 + x2
+    assert schur_conjugate(box, 2) == conjugate_by_fillings(box, 2)
 
 
 def test_conjugate_equals_complement():
@@ -179,6 +181,7 @@ def test_conjugate_equals_complement():
         lhs = schur_conjugate(sd, n)
         rhs = schur_enumerative(complement(sd, n), n, relation=True)
         assert lhs == rhs, (str(sd), n)
+        assert lhs == conjugate_by_fillings(sd, n), (str(sd), n)
 
 
 def test_double_complement_matches_via_schur():
@@ -233,13 +236,15 @@ def test_lr_expand():
     assert lr_expand(SkewDiagram(lam, Partition()), 3) == {lam: 1}
     assert lr_expand(BorderStrip((1, 1)).realize(), 2) == {Partition((2,)): 1}
     assert lr_expand(BorderStrip((2, 1)).realize(), 3) == {Partition((2, 1)): 1}
-    # reassembly is exact
+    # reassembly of a shape that is not a strip is exact, by extraction
     sd = SkewDiagram.from_str("3,2,1/1,1")
     n = 3
-    coeffs = lr_expand(sd, n)
+    with pytest.raises(ValueError):
+        lr_expand(sd, n)
+    coeffs = lr_extract(sd, n)
     total = Ring(n).zero()
     for nu, c in coeffs.items():
-        total = total + schur_straight_cached(nu, n) * c
+        total = total + schur_straight(nu, n) * c
     assert total == schur_enumerative(sd, n)
 
 
@@ -249,7 +254,7 @@ def test_lr_expand_routes_agree_on_strips():
         n = rng.randint(2, 3)
         cols = tuple(rng.randint(1, n) for _ in range(rng.randint(1, 4)))
         sd = BorderStrip(cols).realize()
-        assert lr_expand(sd, n, method="strips") == lr_expand(sd, n, method="extract")
+        assert lr_expand(sd, n) == lr_extract(sd, n)
 
 
 @settings(max_examples=100, deadline=None)

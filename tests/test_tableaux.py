@@ -424,6 +424,25 @@ def test_filling_weights_reject_pins_outside_the_alphabet():
         filling_sum(Ring(2), shape, SIGNED, {(1, 2): -3})
 
 
+@pytest.mark.parametrize("alphabet", [STANDARD, SIGNED])
+@pytest.mark.parametrize("shape, pinned", [
+    pytest.param("2/0", {(1, 1): 3}, id="letter-past-n"),
+    pytest.param("2/0", {(1, 2): -3}, id="signed-letter-past-n"),
+    pytest.param("2/0", {(1, 1): 1, (1, 2): 7}, id="good-pin-beside-bad"),
+    pytest.param("2/0", {(5, 5): 1}, id="cell-below-right"),
+    pytest.param("2/0", {(1, 3): 1}, id="cell-right-of-row"),
+    pytest.param("2/0", {(0, 1): 1}, id="row-zero"),
+    pytest.param("2/0", {(2, 1): 1}, id="row-past-shape"),
+    pytest.param("2,1/1", {(1, 1): 1}, id="cell-of-inner-shape"),
+])
+def test_both_filling_routes_reject_the_same_bad_pins(alphabet, shape, pinned):
+    shape = SkewDiagram.from_str(shape)
+    with pytest.raises(ValueError):
+        filling_sum(Ring(2), shape, alphabet, pinned)
+    with pytest.raises(ValueError):
+        _enumerate(shape, 2, alphabet, pinned)
+
+
 def test_tableau_json_round_trip():
     sd = SkewDiagram.from_str("3,2/1")
     for t in enumerate_sst(sd, 2):
