@@ -19,7 +19,7 @@ from .polyring import (
 )
 from .shapes import BorderStrip, Partition, partitions_of
 from .spectra import Z_vertex, polychronakos_ground_energy
-from .tableaux import count_LR, kostka_numbers, lattice_column, lattice_start
+from .tableaux import count_LR, lattice_column, lattice_start
 from . import schur as _schur
 
 
@@ -267,10 +267,10 @@ class KostkaResult:
         self.lam = lam
         self.polynomial = polynomial
         self.strips = tuple(strips)
-        check = QPoly()
+        check = {}
         for _bs, t, c in self.strips:
-            check = check + QPoly.term(t, c)
-        if check != polynomial:
+            check[t] = check.get(t, 0) + c
+        if QPoly(check) != polynomial:
             raise AssertionError("strip audit list disagrees with polynomial")
 
     def __repr__(self):
@@ -286,7 +286,8 @@ def kostka_foulkes(lam, n=None):
     longer than the length of lam has no strictly increasing filling from
     its letters, so columns are listed only up to that length.
 
-    A depth-first search over column prefixes, each column tried in
+    A depth-first search over column prefixes, on an explicit stack whose
+    children are pushed in decreasing column length and so popped in
     increasing order, lists the strips in ``enumerate_Sp_N``'s lexicographic
     order.  A prefix carries the ``count_LR`` states of its columns, one
     ``lattice_column`` step per column.  The pruning is complete: a state
@@ -303,20 +304,25 @@ def kostka_foulkes(lam, n=None):
     N, cap = lam.size(), lam.parts
     strips = []
     coeffs = {}
-
-    def grow(states, p, t, blocks):
+    stack = [(lattice_start(cap), 0, 0, ())]
+    while stack:
+        states, p, t, blocks = stack.pop()
         if p == N:
             c = sum(states.values())
             strips.append((BorderStrip(blocks), t, c))
             coeffs[t] = coeffs.get(t, 0) + c
-            return
-        for m in range(1, min(n, N - p) + 1):
+            continue
+        for m in range(min(n, N - p), 0, -1):
             nxt = lattice_column(states, m, cap)
             if nxt:
-                grow(nxt, p + m, t + p, blocks + (m,))
-
-    grow(lattice_start(cap), 0, 0, ())
+                stack.append((nxt, p + m, t + p, blocks + (m,)))
     return KostkaResult(lam, QPoly(coeffs), strips)
+
+
+def _rhs_coefficient(N, comp):
+    """q^(sum k_i(k_i-1)/2) [N; k]_q, the coefficient at x^k of the sum
+    that ``kostka_rhs`` lists; zero parts change neither factor."""
+    return _gm(N, [k for k in comp if k]).shifted(sum(k * (k - 1) // 2 for k in comp))
 
 
 def kostka_rhs(N, n):
@@ -325,24 +331,51 @@ def kostka_rhs(N, n):
     partitions of N padded to n parts, listed in lexicographically
     decreasing order.  Both the q-multinomial and the shift are symmetric
     in k, so the sum is symmetric in x and its coefficient at any
-    composition is the one at its sorted partition."""
+    composition is the one at its sorted partition.  No library route
+    reads it or ``tableaux.kostka_numbers``: both stay for the tests' Kostka
+    peel, the oracle of ``kostka_oracle``, and with ``kostka_number`` for
+    perfbench, whose tracer reads their spans."""
     if n < 1 or N < 0:
         raise ValueError("need rank n >= 1 and N >= 0")
     padded = (mu.parts + (0,) * (n - mu.length()) for mu in partitions_of(N, max_length=n))
-    return {
-        tuple(2 * k for k in comp): _gm(N, comp).shifted(sum(k * (k - 1) // 2 for k in comp))
-        for comp in padded
-    }
+    return {tuple(2 * k for k in comp): _rhs_coefficient(N, comp) for comp in padded}
+
+
+def _signed_compositions(lam, n):
+    """(sgn w, lam + delta - w(delta)) for every w in S_n that leaves no
+    entry negative, where delta = (n-1, ..., 0).
+
+    Positions are filled from the last on an explicit stack, position i
+    with an unused value of w(delta) up to lam_i + delta_i, so a trailing
+    zero of lam forces the least unused value: the terms at any n >= len(lam)
+    are those at len(lam), padded with zeros.  The sign flips once per
+    later position holding a larger value.
+    """
+    parts = lam.parts + (0,) * (n - lam.length())
+    stack = [(n, 0, 1, ())]
+    while stack:
+        i, used, sign, tail = stack.pop()
+        if i == 0:
+            yield sign, tail
+            continue
+        i -= 1
+        top = parts[i] + n - 1 - i
+        for v in range(min(top, n - 1) + 1):
+            if not used >> v & 1:
+                flip = (used >> v).bit_count() & 1
+                stack.append((i, used | 1 << v, -sign if flip else sign, (top - v,) + tail))
 
 
 def kostka_oracle(lam, n=None):
     """Kostka-Foulkes value extracted from the q-multinomial expansion.
 
-    Processing partitions in lexicographically decreasing order (which
-    refines dominance; ``kostka_rhs`` lists them so), peel with classical
-    tableau-counted Kostka numbers:
-        K_rhs(lam) = coeff_{x^lam}(rhs) - sum_{mu > lam} K_rhs(mu) K(mu, lam).
-    Nothing here touches the strip formula.
+    The expansion f is symmetric, f = sum_mu K_mu(q) s_mu, so by Jacobi's
+    bialternant formula a_delta f = sum_mu K_mu(q) a_(mu+delta), and of
+    these only a_(lam+delta) holds the monomial x^(lam+delta) (Macdonald,
+    Symmetric Functions and Hall Polynomials, I.3).  Hence
+        K_lam(q) = sum_w sgn(w) [x^(lam + delta - w(delta))] f,
+    read at the compositions of ``_signed_compositions``.  Nothing here
+    touches the strip formula.
     """
     if not isinstance(lam, Partition):
         lam = Partition(lam)
@@ -351,16 +384,12 @@ def kostka_oracle(lam, n=None):
         raise ValueError("rank must be positive")
     if lam.length() > n:
         return QPoly()
-    extracted = {}
-    for vec, val in kostka_rhs(lam.size(), n).items():
-        mu = Partition(v // 2 for v in vec)
-        for knu, count in zip(extracted.values(), kostka_numbers(extracted, mu)):
-            if count:
-                val = val - knu * count
-        extracted[mu] = val
-        if mu == lam:
-            return val
-    return extracted.get(lam, QPoly())
+    N = lam.size()
+    out = {}
+    for sign, comp in _signed_compositions(lam, n):
+        for e, v in _rhs_coefficient(N, comp).c.items():
+            out[e] = out.get(e, 0) + sign * v
+    return QPoly(out)
 
 
 def branching_function(k, lam, n, order):

@@ -4,11 +4,12 @@ package.  An oracle is the second route of a quantity whose library route is
 checked against it."""
 import functools
 
+from ribbonchar.characters import kostka_rhs
 from ribbonchar.polyring import QPoly, Ring
 from ribbonchar.schur import schur_enumerative, schur_jacobi_trudi
 from ribbonchar.shapes import Partition, SkewDiagram
 from ribbonchar.spectra import enumerate_Sp_N
-from ribbonchar.tableaux import STANDARD, filling_sum
+from ribbonchar.tableaux import STANDARD, filling_sum, kostka_numbers
 
 
 def reversed_q(p):
@@ -61,6 +62,32 @@ def conjugate_by_fillings(shape, n):
     """Conjugate Schur function, in relation mode, as the tableau sum with
     every weight inverted.  The oracle of ``schur.schur_conjugate``."""
     return filling_sum(Ring(n, relation=True), shape, STANDARD).subs_x_inverse()
+
+
+def kostka_by_peel(lam, n=None):
+    """Kostka-Foulkes value extracted from the q-multinomial expansion by
+    peeling with tableau-counted Kostka numbers.  The oracle of
+    ``characters.kostka_oracle``.
+
+    Processing partitions in lexicographically decreasing order (which
+    refines dominance; ``kostka_rhs`` lists them so):
+        K_rhs(lam) = coeff_{x^lam}(rhs) - sum_{mu > lam} K_rhs(mu) K(mu, lam).
+    """
+    if not isinstance(lam, Partition):
+        lam = Partition(lam)
+    n = max(lam.length(), 1) if n is None else n
+    if lam.length() > n:
+        return QPoly()
+    extracted = {}
+    for vec, val in kostka_rhs(lam.size(), n).items():
+        mu = Partition(v // 2 for v in vec)
+        for knu, count in zip(extracted.values(), kostka_numbers(extracted, mu)):
+            if count:
+                val = val - knu * count
+        extracted[mu] = val
+        if mu == lam:
+            return val
+    return QPoly()
 
 
 def a_exponent(N, m, ks):

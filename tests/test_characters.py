@@ -1,7 +1,7 @@
 import functools
 import math
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate, combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from ribbonchar.characters import (
     A_closed,
     F_N,
+    KostkaResult,
     branching_function,
     conformal_dimension,
     decomposition_strips,
     _compositions,
+    _signed_compositions,
     kostka_foulkes,
     kostka_oracle,
     kostka_rhs,
@@ -37,7 +39,13 @@ from ribbonchar.schur import e_m, schur_strip_cached
 from ribbonchar.shapes import BorderStrip, Partition, partitions_of, t_statistic
 from ribbonchar.spectra import Z_vertex, Z_vertex_direct, enumerate_Sp_N, motifs
 from ribbonchar.tableaux import count_LR
-from helpers import A_coefficient, A_split_contributions, at_q_one, schur_straight
+from helpers import (
+    A_coefficient,
+    A_split_contributions,
+    at_q_one,
+    kostka_by_peel,
+    schur_straight,
+)
 
 
 def q_truncated(poly, order):
@@ -485,6 +493,21 @@ def test_kostka_worked_example():
     assert kostka_oracle(Partition((3, 2, 1))) == product
 
 
+def test_kostka_result_checks_its_audit_list():
+    lam = Partition((3, 2, 1))
+    strips = kostka_foulkes(lam).strips
+    KostkaResult(lam, kostka_oracle(lam), strips)
+    with pytest.raises(AssertionError):
+        KostkaResult(lam, kostka_oracle(lam) + QPoly.term(5), strips)
+    with pytest.raises(AssertionError):
+        KostkaResult(lam, kostka_oracle(lam), strips[1:])
+    # counts at one t that cancel leave no term
+    bs = strips[0][0]
+    KostkaResult(lam, QPoly(), [(bs, 3, 2), (bs, 3, -2)])
+    with pytest.raises(AssertionError):
+        KostkaResult(lam, QPoly.const(0), [(bs, 3, 2), (bs, 3, -1)])
+
+
 def test_kostka_small_shapes():
     assert kostka_foulkes(Partition((2,)), 2).polynomial == QPoly.term(1)
     assert kostka_oracle(Partition((2,)), 2) == QPoly.term(1)
@@ -595,6 +618,63 @@ def test_kostka_rhs_reads_the_partition_coefficients():
             # the full sum is constant on S_n-orbits
             for vec, coeff in full.items():
                 assert coeff == got[tuple(sorted(vec, reverse=True))], (N, n, vec)
+
+
+def test_kostka_oracle_matches_peel_exhaustively():
+    cases = [
+        (lam, n)
+        for N in range(11)
+        for lam in partitions_of(N)
+        for n in range(max(lam.length(), 1), 7)
+    ]
+    assert len(cases) == 446
+    for lam, n in cases:
+        assert kostka_oracle(lam, n) == kostka_by_peel(lam, n), (lam, n)
+
+
+@st.composite
+def partitions_with_ranks_from_length(draw):
+    lam = draw(st.sampled_from(partitions_of(draw(st.integers(0, 14)))))
+    least = max(lam.length(), 1)
+    return lam, draw(st.integers(least, least + 3))
+
+
+@settings(max_examples=25, deadline=None)
+@given(partitions_with_ranks_from_length())
+def test_kostka_oracle_matches_peel_on_random_partitions(case):
+    lam, n = case
+    assert kostka_oracle(lam, n) == kostka_by_peel(lam, n)
+
+
+def signed_compositions_by_permutations(lam, n):
+    """(sgn w, lam + delta - w(delta)) over all of S_n, the sign counted by
+    inversions, keeping the terms with no negative entry."""
+    parts = lam.parts + (0,) * (n - lam.length())
+    delta = [n - 1 - i for i in range(n)]
+    out = []
+    for w in permutations(range(n)):
+        comp = tuple(p + d - delta[j] for p, d, j in zip(parts, delta, w))
+        if min(comp) >= 0:
+            inversions = sum(a > b for a, b in combinations(w, 2))
+            out.append((-1 if inversions % 2 else 1, comp))
+    return sorted(out)
+
+
+def test_signed_compositions_match_permutations():
+    for n in range(1, 7):
+        for N in range(7):
+            for lam in partitions_of(N, max_length=n):
+                got = sorted(_signed_compositions(lam, n))
+                assert got == signed_compositions_by_permutations(lam, n), (lam, n)
+
+
+def test_kostka_oracle_is_rank_stable():
+    lam = Partition((3, 2, 1))
+    base = kostka_oracle(lam, 3)
+    for n in range(4, 13):
+        assert kostka_oracle(lam, n) == base, n
+    # trailing zeros force their values, so no rank adds a term
+    assert len(list(_signed_compositions(lam, 12))) == len(list(_signed_compositions(lam, 3)))
 
 
 @pytest.mark.parametrize("n", [0, -1])

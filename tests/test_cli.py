@@ -588,8 +588,8 @@ def test_fiber_command_character_counts_its_configurations(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("kostka", "--lambda", "1100"),
     ("schur", "--shape", "1100", "--n", "1", "--method", "jt"),
+    ("schur", "--shape", "1100", "--n", "1", "--relation", "--method", "jt"),
     ("schur", "--shape", "1100", "--n", "1", "--method", "strip"),
     ("schur", "--shape", "1100", "--n", "1", "--relation", "--method", "strip"),
 ])
@@ -612,6 +612,17 @@ def test_tableau_sum_is_not_bounded_by_the_recursion_limit(capsys):
     code, out, err = run(capsys, "schur", "--shape", "1100", "--n", "1")
     assert (code, err) == (0, "")
     assert laurent_from_json(json.loads(out)["polynomial"]) == Ring(1).gen(1) ** 1100
+
+
+def test_kostka_search_is_not_bounded_by_the_recursion_limit(capsys):
+    # the column-prefix search runs on an explicit stack: lambda = (1100)
+    # has the one strip of 1100 single cells, at t = 0 + 1 + ... + 1099
+    code, out, err = run(capsys, "kostka", "--lambda", "1100")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["polynomial"] == [[604450, 1]]
+    assert doc["strips"] == [{"kappa": "<" + ",".join(["1"] * 1100) + ">", "t": 604450, "count": 1}]
+    assert doc["equal"] is True
 
 
 @pytest.mark.parametrize("argv", [
