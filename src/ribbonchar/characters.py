@@ -39,7 +39,7 @@ _GM_CACHE = {}
 
 
 def _gm(N, parts):
-    key = (N, tuple(sorted(parts)))
+    key = (N, tuple(sorted(k for k in parts if k)))  # (q)_0 = 1: zero parts drop out
     got = _GM_CACHE.get(key)
     if got is None:
         got = _GM_CACHE[key] = gaussian_multinomial(N, key[1])
@@ -322,7 +322,7 @@ def kostka_foulkes(lam, n=None):
 def _rhs_coefficient(N, comp):
     """q^(sum k_i(k_i-1)/2) [N; k]_q, the coefficient at x^k of the sum
     that ``kostka_rhs`` lists; zero parts change neither factor."""
-    return _gm(N, [k for k in comp if k]).shifted(sum(k * (k - 1) // 2 for k in comp))
+    return _gm(N, comp).shifted(sum(k * (k - 1) // 2 for k in comp))
 
 
 def kostka_rhs(N, n):

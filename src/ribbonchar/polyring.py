@@ -61,8 +61,9 @@ are 01 or 10, i.e. iff bit B-1 of D ^ (D << 1) is set; K has exactly bit
 B-1 of each biased digit set, so all keys are in range iff the AND of
 k ^ (k << 1) over them keeps every bit of K.  A key out of range raises
 OverflowError, as does packing a digit out of range.  Every other new key
-is packed (``from_terms``), a running sum whose digits one ``pack`` of an
-extreme vector bounds (``symmetrized``, ``walk_sum``), a q shift inside a
+is packed (``from_terms``), a running sum bounded by one ``pack`` of an
+extreme vector (``symmetrized``, ``walk_sum``, which also bounds its q digit
+by the walk length times the largest q step), a q shift inside a
 ``build_qseries`` window (0 <= e <= order < H), or a q digit set to 0
 (``QSeries.coeffs``), so no key ever wraps: an operation raises or is exact.
 
@@ -454,39 +455,42 @@ class Ring:
         return Laurent._raw(self, out)
 
     def walk_sum(self, start, steps, moves):
-        """Sum over the walks of x^(w/2), w = start + steps[a_1] + ... +
-        steps[a_m] for a walk with letters a_1..a_m: ``steps`` maps each
-        letter to a doubled vector (of length n, or ValueError).  A walk
-        starts in the state None and takes one move per position;
-        ``moves[i][s]`` lists the moves (next state, letter) from state s at
-        position i (m = len(moves); no moves give the empty walk).  A state
-        is any hashable value, and ``moves[i]`` any mapping: one with
-        ``__missing__`` builds the moves of a state the first time a walk
-        reaches it there.
+        """Sum over the walks of x^(w/2) q^e, w = start + v_1 + ... + v_m and
+        e = e_1 + ... + e_m for a walk with letters a_1..a_m: ``steps`` maps
+        each letter a_j to a pair (v_j, e_j) of a doubled vector (of length
+        n, or ValueError) and a q exponent.  A walk starts in the state None
+        and takes one move per position; ``moves[i][s]`` lists the moves
+        (next state, letter) from state s at position i (m = len(moves); no
+        moves give the empty walk).  A state is any hashable value, and
+        ``moves[i]`` any mapping: one with ``__missing__`` builds the moves
+        of a state the first time a walk reaches it there.
 
         A transfer matrix over positions: after position i each state maps
         to {key: number of walks that reach it}, so equal states merge and
         the work is the moves times the distinct keys per state and
         position, not walks times length.  A letter's key step is
-        sum_j steps[a]_j u_j (``_units``), so a walk's key is pack(start)
+        sum_j v_j u_j + e (``_units``), so a walk's key is pack(start)
         plus its steps (module docstring, "Additive").
 
         No partial sum carries: digit values are linear in w (w_j, or
         w_j - w_n under the relation), and with t_j = |start_j| + m * max_a
-        |steps[a]_j| every partial sum has |w_j| <= t_j.  So one ``pack`` of
-        the t_j (of the t_j + t_n, and 0 in slot n, under the relation)
-        bounds every digit value below H, stored keys included, or raises.
+        |v_j| every partial sum has |w_j| <= t_j.  So one ``pack`` of the
+        t_j (of the t_j + t_n, and 0 in slot n, under the relation) bounds
+        every x digit value below H, stored keys included, or raises; m
+        times the largest |e| bounds the q digit alike, or OverflowError.
         The parity digit only sums the steps' w_n, with nothing above it,
         and the mask of the finished keys reduces it mod 2.
         """
         m, units = len(moves), self._units
-        keys = {a: sum(map(mul, v, units)) for a, v in steps.items()}
+        keys = {a: sum(map(mul, v, units)) + e for a, (v, e) in steps.items()}
         state = {None: {self.pack(start): 1}}
-        peaks = [max(map(abs, column)) for column in zip(*steps.values(), strict=True)]
+        peaks = [max(map(abs, col)) for col in zip(*[v for v, _ in steps.values()], strict=True)]
         top = [abs(s) + m * p for s, p in zip(start, peaks or [0] * self.n, strict=True)]
         if self.relation:
             top = [t + top[-1] for t in top[:-1]] + [0]
         self.pack(top)
+        if m * max((abs(e) for _, e in steps.values()), default=0) >= _HALF:
+            raise OverflowError("q exponent outside the packed range")
         for move in moves:
             after = {}
             for a, counts in state.items():

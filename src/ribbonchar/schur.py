@@ -50,7 +50,10 @@ def schur_strip_cached(blocks, n, relation=False):
 
     s_<m_1..m_r> = sum_i (-1)^(i+1) e_{m_r+...+m_{r-i+1}} s_<m_1..m_{r-i}>,
     and terms with the e-index above n vanish, so each step is short.  The
-    sum is one ``laurent_dot``: no product or partial sum is built.
+    sum is one ``laurent_dot``: no product or partial sum is built.  The
+    missing prefixes are filled from short to long; the shortest follows a
+    held prefix, ends in a block above n (zero) or is empty, so nothing
+    recurses.
     """
     blocks = tuple(blocks)
     key = (blocks, n, relation)
@@ -60,10 +63,10 @@ def schur_strip_cached(blocks, n, relation=False):
     if any(m < 1 for m in blocks):
         raise ValueError("column lengths must be positive")
     ring = Ring(n, relation)
-    if not blocks:
-        out = ring.one()
-    else:
-        r = len(blocks)
+    r = len(blocks)
+    while r and blocks[r - 1] <= n and (blocks[: r - 1], n, relation) not in _STRIP_CACHE:
+        r -= 1
+    for r in range(r, len(blocks) + 1):
         products = []
         idx = 0
         sign = 1
@@ -71,13 +74,10 @@ def schur_strip_cached(blocks, n, relation=False):
             idx += blocks[r - i]
             if idx > n:
                 break
-            products.append(
-                (sign, e_m(ring, idx), schur_strip_cached(blocks[: r - i], n, relation))
-            )
+            products.append((sign, e_m(ring, idx), _STRIP_CACHE[blocks[: r - i], n, relation]))
             sign = -sign
-        out = laurent_dot(ring, products)
-    _STRIP_CACHE[key] = out
-    return out
+        _STRIP_CACHE[blocks[:r], n, relation] = laurent_dot(ring, products) if r else ring.one()
+    return _STRIP_CACHE[key]
 
 
 def schur_conjugate(shape, n):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate
 
-from .polyring import QPoly, Ring, build_qseries, laurent_dot
+from .polyring import QPoly, Ring, build_qseries
 from .shapes import BorderStrip, block_bits, blocks_from_ones
 from .tableaux import STANDARD, Tableau, strip_cell_order
 from . import schur as _schur
@@ -248,7 +248,7 @@ def local_energy_sum(ring, letters, H, bits, tail, start, step):
     (``Ring.walk_sum``) on the scan's own table, listing no word."""
     letters = tuple(letters)
     moves = _letter_moves(letters, H, bits, tail)
-    return ring.walk_sum(start, {a: step(a) for a in letters}, moves)
+    return ring.walk_sum(start, {a: (step(a), 0) for a in letters}, moves)
 
 
 def fiber_words(h):
@@ -292,13 +292,15 @@ def excitation_energy(blocks, n):
 
 
 def enumerate_Sp_N(N, n):
-    """All block lists with entries in 1..n summing to N (final n allowed)."""
-    if N == 0:
-        yield ()
-        return
-    for first in range(1, min(n, N) + 1):
-        for rest in enumerate_Sp_N(N - first, n):
-            yield (first,) + rest
+    """All block lists in 1..n summing to N (final n allowed), lexicographically."""
+    stack = [(0, ())]
+    while stack:
+        total, blocks = stack.pop()
+        if total == N:
+            yield blocks
+            continue
+        for m in range(min(n, N - total), 0, -1):
+            stack.append((total + m, blocks + (m,)))
 
 
 def motifs(N, n):
@@ -387,32 +389,25 @@ def Z_vertex(N, n, relation=False):
 def Z_vertex_direct(N, n, relation=False):
     """Same partition function summed configuration by configuration.
 
-    A transfer matrix over positions (the 1D configuration sum of
-    Date-Jimbo-Kuniba-Miwa-Okado): after position i the state maps each
-    letter a to the sum, over words w_1..w_i with w_i = a, of
-    q^(sum_{j<i} j*H(w_j, w_(j+1))) times the weight monomial of the word.
-    The last letter meets the tail letter 1 at position N, and the
-    sector-(N mod n) ground constant is subtracted.  Only the local energy
-    is read, never a strip or a tableau, so this stays independent of the
-    strip sum in ``Z_vertex``.  It costs N*n q shifts and N*n sums of n
-    products (``laurent_dot``) instead of n^N configurations.
+    The 1D configuration sum of Date-Jimbo-Kuniba-Miwa-Okado as one
+    ``Ring.walk_sum``: the state is the last letter, the move a -> b at
+    position i has the letter (b, i*H(a, b)), x_b times q^(i*H(a, b)), and a
+    closing position meets the tail letter 1 with (0, N*H(a, 1)), no x at
+    all; the sector-(N mod n) ground constant is then subtracted.  Only the
+    local energy is read, never a strip or a tableau, so this stays
+    independent of the strip sum in ``Z_vertex``.  It costs N*n^2 moves times
+    the distinct keys per letter, not n^N configurations.
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
     ring = Ring(n, relation)
     order = polychronakos_ground_energy(N, n)
     letters = range(1, n + 1)
-    x = {a: ring.gen(a) for a in letters}
-    total = ring.one()  # N = 0: the single empty configuration
-    if N:
-        state = x
-        for i in range(1, N):
-            # H is 0 or 1, so each state[a] is raised by q^i once per step
-            raised = {a: state[a] * QPoly.term(i) for a in letters}
-            state = {b: laurent_dot(ring, (
-                (1, raised[a] if local_energy(a, b) else state[a], x[b]) for a in letters
-            )) for b in letters}
-        total = laurent_dot(ring, (
-            (1, state[a], ring.one() * QPoly.term(N * local_energy(a, 1))) for a in letters
-        ))
+    moves = [{None: [(b, (b, 0)) for b in letters]}]
+    moves += [{a: [(b, (b, i * local_energy(a, b))) for b in letters] for a in letters}
+              for i in range(1, N)]
+    moves.append({a: [(None, (0, N * local_energy(a, 1)))] for a in letters})
+    steps = {letter: (tuple(2 * (letter[0] == b) for b in letters), letter[1])
+             for move in moves for row in move.values() for _, letter in row}
+    total = ring.walk_sum((0,) * n, steps, moves if N else [])
     return build_qseries(ring, 0, order, [(0, total * QPoly.term(-ground_sum(N, n)))])

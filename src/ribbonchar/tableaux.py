@@ -281,7 +281,7 @@ def filling_sum(ring, shape, alphabet, pinned=None):
         moves.append(move)
     if moves:  # a walk starts in the state None, before an empty frontier
         moves[0][None] = moves[0][()]
-    return ring.walk_sum((0,) * n, steps, moves)
+    return ring.walk_sum((0,) * n, {r: (v, 0) for r, v in steps.items()}, moves)
 
 
 def tableau_weight(t):

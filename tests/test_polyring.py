@@ -795,16 +795,19 @@ class BuiltOnDemand(dict):
 
 @st.composite
 def walk_machines(draw):
-    """(n, start, steps, tables, lazy): letters with half and full steps,
-    one table per position from tuple states to (next state, letter) moves.
-    Every state a move can reach has a row, empty for a dead end; zero
-    positions give the empty walk."""
+    """(n, start, steps, tables, lazy): letters with half and full x steps
+    and q shifts, small or the largest that ``length`` of them keep inside
+    the packed range, one table per position from tuple states to (next
+    state, letter) moves.  Every state a move can reach has a row, empty
+    for a dead end; zero positions give the empty walk."""
     n = draw(st.integers(1, 3))
-    entries = st.tuples(*[st.integers(-2, 2)] * n)
+    length = draw(st.integers(0, 5))
+    top = (HALF - 1) // max(length, 1)
+    shift = st.integers(-3, 3) | st.sampled_from([top, -top])
+    entries = st.tuples(st.tuples(*[st.integers(-2, 2)] * n), shift)
     steps = draw(st.dictionaries(st.sampled_from("abcd"), entries, min_size=1, max_size=4))
     letters = sorted(steps)
     start = draw(st.tuples(*[st.integers(-3, 3)] * n))
-    length = draw(st.integers(0, 5))
     state = st.tuples(st.integers(0, 2), st.integers(0, 1)) | st.just(())
     states = [[None]] + [draw(st.lists(state, min_size=1, max_size=3, unique=True))
                          for _ in range(length)]
@@ -832,7 +835,8 @@ def test_walk_sum_matches_walk_enumeration(case):
     for relation in (False, True):
         ring = Ring(n, relation)
         expected = ring.from_terms(
-            (tuple(map(sum, zip(start, *(steps[a] for a in word)))), 1)
+            (tuple(map(sum, zip(start, *(steps[a][0] for a in word)))),
+             QPoly.term(sum(steps[a][1] for a in word)))
             for word in walks(tables))
         moves = [BuiltOnDemand(t) if on_demand else t for t, on_demand in zip(tables, lazy)]
         assert ring.walk_sum(start, steps, moves) == expected, relation
@@ -844,8 +848,25 @@ def test_walk_sum_matches_walk_enumeration(case):
 def test_walk_sum_rejects_vectors_of_another_length():
     ring = Ring(2)
     moves = [{None: [(None, "a")]}]
-    for start, steps in (((0, 0), {"a": (2,)}), ((0, 0), {"a": (2, 0, 0)}),
-                         ((0, 0), {"a": (2, 0), "b": (2,)}), ((0,), {"a": (2, 0)})):
+    for start, steps in (((0, 0), {"a": ((2,), 0)}), ((0, 0), {"a": ((2, 0, 0), 0)}),
+                         ((0, 0), {"a": ((2, 0), 0), "b": ((2,), 0)}),
+                         ((0,), {"a": ((2, 0), 0)})):
         with pytest.raises(ValueError):
             ring.walk_sum(start, steps, moves)
-    assert ring.walk_sum((0, 0), {"a": (2, 0)}, moves) == ring.gen(1)
+    assert ring.walk_sum((0, 0), {"a": ((2, 0), 0)}, moves) == ring.gen(1)
+
+
+def test_walk_sum_rejects_q_shifts_past_the_packed_range():
+    # m steps of q^e stay in range while m * |e| < HALF; one more raises
+    # OverflowError instead of carrying into the x digits
+    for relation in (False, True):
+        ring = Ring(2, relation)
+        for m in (1, 3):
+            moves = [{None: [(None, "a")]}] * m
+            top = (HALF - 1) // m
+            for e in (top, -top):
+                got = ring.walk_sum((2, 0), {"a": ((0, 2), e)}, moves)
+                assert got == ring.monomial((2, 2 * m), QPoly.term(m * e))
+            for e in (top + 1, -top - 1):
+                with pytest.raises(OverflowError):
+                    ring.walk_sum((2, 0), {"a": ((0, 2), e)}, moves)
