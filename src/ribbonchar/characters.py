@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 from .polyring import (
     QPoly,
@@ -24,15 +25,13 @@ from . import schur as _schur
 
 
 def _compositions(total, parts):
-    """All tuples of ``parts`` nonnegative integers summing to ``total``."""
+    """All tuples of ``parts`` nonnegative integers summing to ``total``, in
+    lexicographic order: each part is a run of stars between two bars."""
     if parts < 1:
         raise ValueError("need at least one part")
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    end = total + parts - 1
+    for bars in combinations(range(end), parts - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, end)))
 
 
 _GM_CACHE = {}
@@ -135,22 +134,26 @@ def decomposition_strips(n, cutoff, *residues):
     cap = math.floor(two_n * Fraction(cutoff))
     if cap >= 0 and 0 in wanted:
         yield (), Fraction(0)
-    prefix = []
-
-    def grow(S, p):
-        for c in range(1, n + 1):
-            q = p + c
-            if c < n and q % n in wanted:
-                F = two_n * S + q * (n - q)
-                if F <= cap:
-                    yield (*prefix, c), Fraction(F, two_n)
-            T = S + q
-            if two_n * T + (q + n - 1) * (1 - q) <= cap:
-                prefix.append(c)
-                yield from grow(T, q)
-                prefix.pop()
-
-    yield from grow(0, 0)
+    # one frame per column of the prefix: the S and p before it
+    prefix, frames = [], []
+    S, p, c = 0, 0, 1
+    while frames or c <= n:
+        if c > n:
+            S, p = frames.pop()
+            c = prefix.pop() + 1
+            continue
+        q = p + c
+        if c < n and q % n in wanted:
+            F = two_n * S + q * (n - q)
+            if F <= cap:
+                yield (*prefix, c), Fraction(F, two_n)
+        T = S + q
+        if two_n * T + (q + n - 1) * (1 - q) <= cap:
+            frames.append((S, p))
+            prefix.append(c)
+            S, p, c = T, q, 1
+        else:
+            c += 1
 
 
 def level1_decomposition(n, k, order, variant="a"):
@@ -225,25 +228,26 @@ def level1_theta(n, k, order):
     two_n = 2 * n
     cap = math.floor(two_n * cutoff)
     orbits = {}
-    prefix = []
-
-    def grow(i, s, squares, pairs):
-        # i entries fixed, with sum s, sum of squares ``squares`` and
-        # pairwise sum ``pairs``; the last entry is 0
-        if i == n - 1:
-            pairs += squares
-            if s % n == k and pairs <= cap:
-                orbits.setdefault(pairs, []).append((*(2 * x for x in prefix), 0))
-            return
-        for x in range(prefix[-1] if prefix else math.isqrt(max(cap, 0)), -1, -1):
+    # one frame per entry of the prefix: i entries fixed, with sum s, sum of
+    # squares and pairwise sum, and the next x to try; a new entry is tried
+    # from the one before it down, and the last entry is 0
+    prefix, frames = [], []
+    i = s = squares = pairs = 0
+    x = math.isqrt(max(cap, 0))
+    while True:
+        if i < n - 1 and x >= 0:
             total = pairs + squares - 2 * s * x + i * x * x
-            if n * total > (i + 1) * cap:
-                break
-            prefix.append(x)
-            grow(i + 1, s + x, squares + x * x, total)
-            prefix.pop()
-
-    grow(0, 0, 0, 0)
+            if n * total <= (i + 1) * cap:
+                frames.append((i, s, squares, pairs, x - 1))
+                prefix.append(x)
+                i, s, squares, pairs = i + 1, s + x, squares + x * x, total
+                continue
+        elif i == n - 1 and s % n == k and pairs + squares <= cap:
+            orbits.setdefault(pairs + squares, []).append((*(2 * y for y in prefix), 0))
+        if not frames:
+            break
+        i, s, squares, pairs, x = frames.pop()
+        prefix.pop()
     numerator = build_qseries(ring, delta, order, (
         (Fraction(pairs, two_n), ring.symmetrized(reps)) for pairs, reps in orbits.items()
     ))

@@ -554,13 +554,6 @@ def main(argv=None):
     except UsageError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
-    except RecursionError:
-        # the recursive enumerators and expansions go one frame deeper per
-        # cell, column or block, so such an input is too large to compute
-        # here; that is not a mismatch
-        print(json.dumps({"error": "input too large: recursion limit reached"}),
-              file=sys.stderr)
-        return 2
     except OverflowError as exc:
         # an exponent or truncation order outside the packed range
         print(json.dumps({"error": f"input too large: {exc}"}), file=sys.stderr)

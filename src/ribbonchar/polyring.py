@@ -784,13 +784,15 @@ def laurent_dot(ring, products):
 def determinant(matrix):
     """Exact determinant of a square Laurent matrix.
 
-    Expansion along the first remaining column: the minor of a set of rows
-    is the first remaining column over those rows, and each minor is one
-    ``laurent_dot`` of its nonzero entries times their minors, memoised on
-    the row tuple.  On a unit upper-Hessenberg r x r matrix (the strip
-    matrices of ``schur`` and ``twisted``) the rows left after k columns are
-    rows 0..k less one of them plus rows k+1..r-1, so r(r+1)/2 minors are
-    computed, against up to 2^r - 1 row sets on a dense matrix.
+    A forward loop over the columns.  A state is the bit mask of the rows
+    used by the columns so far, valued at the signed sum of products over
+    the ways to place those columns on those rows (placing row i flips the
+    sign once per used row below it), and each column builds every new
+    state as one ``laurent_dot``.  A state that leaves unused a row with no
+    nonzero entry in a later column is dropped.  On an upper-Hessenberg
+    matrix (the strip matrices of ``schur`` and ``twisted``) the rows used
+    after k columns are k of rows 0..k: at most k + 1 states, each with at
+    most two successors.
     """
     r = len(matrix)
     if r == 0:
@@ -803,26 +805,25 @@ def determinant(matrix):
         for entry in row:
             if entry.ring is not ring:
                 raise RingContextError("matrix entries in mixed contexts")
-    memo = {}
-
-    def minor(rows):
-        j = r - len(rows)
-        if j == r - 1:
-            return matrix[rows[0]][j]
-        got = memo.get(rows)
-        if got is not None:
-            return got
-        products = []
-        sign = 1
-        for idx, i in enumerate(rows):
-            entry = matrix[i][j]
-            if entry:
-                products.append((sign, entry, minor(rows[:idx] + rows[idx + 1 :])))
-            sign = -sign
-        out = memo[rows] = laurent_dot(ring, products)
-        return out
-
-    return minor(tuple(range(r)))
+    full = (1 << r) - 1
+    cols = [sum(1 << i for i, row in enumerate(matrix) if row[j]) for j in range(r)]
+    later = [0] * r  # later[j]: the rows with a nonzero entry right of column j
+    for j in range(r - 1, 0, -1):
+        later[j - 1] = later[j] | cols[j]
+    states = {1 << i: row[0] for i, row in enumerate(matrix) if row[0]}
+    for j in range(1, r):
+        grouped = {}
+        for used, value in states.items():
+            free = cols[j] & ~used
+            while free:
+                bit = free & -free
+                free ^= bit
+                if used | bit | later[j] == full:
+                    i = bit.bit_length() - 1
+                    sign = -1 if (used >> i).bit_count() & 1 else 1
+                    grouped.setdefault(used | bit, []).append((sign, matrix[i][j], value))
+        states = {used: laurent_dot(ring, products) for used, products in grouped.items()}
+    return states.get(full, ring.zero())
 
 
 class QSeries:

@@ -1,5 +1,6 @@
 import functools
 import math
+import sys
 from fractions import Fraction
 from itertools import accumulate, combinations, permutations, product
 
@@ -29,6 +30,7 @@ from ribbonchar.polyring import (
     QPoly,
     Ring,
     build_qseries,
+    determinant,
     gaussian_multinomial,
     inverse_pochhammer_series,
     laurent_dot,
@@ -124,6 +126,36 @@ def test_recursion_depth_is_not_bounded_by_the_recursion_limit():
     # n = 1: every prefactor is 1, so H_N = x_1^N; N = 1200 is past the
     # default recursion limit, which a top-down recursion would hit
     assert rogers_szego_recursive(1200, 1) == Ring(1).monomial((2400,))
+
+
+def test_compositions_in_lexicographic_order():
+    # product lists all tuples in lexicographic order; keep those that sum up
+    for total in range(9):
+        for parts in range(1, 6):
+            want = [c for c in product(range(total + 1), repeat=parts) if sum(c) == total]
+            assert list(_compositions(total, parts)) == want, (total, parts)
+
+
+def test_loops_reach_no_recursion_limit():
+    # each route once recursed one frame per column, part or entry; with
+    # the limit 100 frames above the current depth, 300 of them must pass
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    ring = Ring(1)
+    x, one, zero = ring.gen(1), ring.one(), ring.zero()
+    r = 300
+    bidiagonal = [[x if j == i else one if j == i + 1 else zero for j in range(r)] for i in range(r)]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        assert determinant(bidiagonal) == x ** r
+        assert list(_compositions(1, r)) == [(0,) * (r - 1 - i) + (1,) + (0,) * i for i in range(r)]
+        theta = level1_theta(r, 0, 0)
+        assert theta.coeffs == [Ring(r, relation=True).one()]
+        assert list(decomposition_strips(1, r, 0)) == [((), 0)]
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_F_examples():

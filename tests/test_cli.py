@@ -587,38 +587,18 @@ def test_fiber_command_character_counts_its_configurations(capsys):
                     assert laurent_from_json(doc["character"]) == counted, argv
 
 
-ONES_1100 = ",".join(["1"] * 1100)
-
-
-@pytest.mark.parametrize("argv", [
-    ("schur", "--shape", "1100", "--n", "1", "--method", "jt"),
-    ("schur", "--shape", "1100", "--n", "1", "--relation", "--method", "jt"),
-    ("twisted", "schur", "--n", "1", "--h", ONES_1100, "--method", "det"),
-])
-def test_input_too_deep_for_recursion_is_usage_error(capsys, argv):
-    # one frame per column of the determinant: past the recursion limit the
-    # input cannot be computed, which must not read as a mismatch (exit 1)
-    code, out, err = run(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert err.count("\n") == 1
-    assert "recursion" in json.loads(err)["error"]
-    # and the same command at a small size still answers
-    small = {"1100": "3", ONES_1100: "1,1,1"}
-    code, out, _ = run(capsys, *[small.get(a, a) for a in argv])
-    assert code == 0 and json.loads(out)["polynomial"]
-
-
 def test_strip_routes_are_not_bounded_by_the_recursion_limit(capsys):
     # block lists come from an explicit stack, strip Schur functions from a
-    # loop over prefixes and the configuration sum from one walk: 1100
-    # single cells in a row is the strip <1,...,1>, x1^1100 at n = 1
-    for relation in ((), ("--relation",)):
-        argv = ("schur", "--shape", "1100", "--n", "1", "--method", "strip") + relation
-        code, out, err = run(capsys, *argv)
-        assert (code, err) == (0, ""), argv
-        poly = laurent_from_json(json.loads(out)["polynomial"])
-        assert poly == Ring(1, bool(relation)).gen(1) ** 1100, argv
+    # loop over prefixes, determinants from a loop over columns and the
+    # configuration sum from one walk: 1100 single cells in a row is the
+    # strip <1,...,1>, x1^1100 at n = 1
+    for method in ("strip", "jt"):
+        for relation in ((), ("--relation",)):
+            argv = ("schur", "--shape", "1100", "--n", "1", "--method", method) + relation
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+            poly = laurent_from_json(json.loads(out)["polynomial"])
+            assert poly == Ring(1, bool(relation)).gen(1) ** 1100, argv
     code, out, err = run(capsys, "spectrum", "--n", "1", "--N", "1100")
     assert (code, err) == (0, "")
     points = json.loads(out)["points"]
@@ -628,6 +608,15 @@ def test_strip_routes_are_not_bounded_by_the_recursion_limit(capsys):
     doc = json.loads(out)
     assert [c["equal"] for c in doc["checks"]] == [True, True]
     assert doc["equal"] is True
+    # at n = 1 the level-1 strip search runs 1200 columns deep on its
+    # explicit stack and emits only the empty strip, so the character is 1
+    code, out, err = run(capsys, "decompose", "--n", "1", "--k", "0", "--order", "1200")
+    assert (code, err) == (0, "")
+    one = [{"x2": [0], "q": [[0, 1]]}]
+    assert json.loads(out)["series"]["coefficients"] == [one] + [[]] * 1200
+    code, out, err = run(capsys, "verify", "djkmo", "--n", "1", "--k", "0", "--order", "1200")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["equal"] is True
 
 
 def test_tableau_sum_is_not_bounded_by_the_recursion_limit(capsys):
