@@ -587,18 +587,35 @@ def test_fiber_command_character_counts_its_configurations(capsys):
                     assert laurent_from_json(doc["character"]) == counted, argv
 
 
+@pytest.mark.parametrize("argv", [
+    ("schur", "--shape", "1100", "--n", "1", "--method", "jt"),
+    ("schur", "--shape", "1100", "--n", "1", "--relation", "--method", "jt"),
+])
+def test_input_too_deep_for_recursion_is_usage_error(capsys, argv):
+    # these lines once ran one frame per column of the determinant and exited
+    # 2 at the recursion limit; the determinant is now a loop over columns,
+    # so no usage error is left to report: they answer x1^1100 at n = 1
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    poly = laurent_from_json(json.loads(out)["polynomial"])
+    assert poly == Ring(1, "--relation" in argv).gen(1) ** 1100
+    # and the same command at a small size still answers
+    code, out, _ = run(capsys, *["3" if a == "1100" else a for a in argv])
+    assert code == 0
+    poly = laurent_from_json(json.loads(out)["polynomial"])
+    assert poly == Ring(1, "--relation" in argv).gen(1) ** 3
+
+
 def test_strip_routes_are_not_bounded_by_the_recursion_limit(capsys):
     # block lists come from an explicit stack, strip Schur functions from a
-    # loop over prefixes, determinants from a loop over columns and the
-    # configuration sum from one walk: 1100 single cells in a row is the
-    # strip <1,...,1>, x1^1100 at n = 1
-    for method in ("strip", "jt"):
-        for relation in ((), ("--relation",)):
-            argv = ("schur", "--shape", "1100", "--n", "1", "--method", method) + relation
-            code, out, err = run(capsys, *argv)
-            assert (code, err) == (0, ""), argv
-            poly = laurent_from_json(json.loads(out)["polynomial"])
-            assert poly == Ring(1, bool(relation)).gen(1) ** 1100, argv
+    # loop over prefixes and the configuration sum from one walk: 1100
+    # single cells in a row is the strip <1,...,1>, x1^1100 at n = 1
+    for relation in ((), ("--relation",)):
+        argv = ("schur", "--shape", "1100", "--n", "1", "--method", "strip") + relation
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        poly = laurent_from_json(json.loads(out)["polynomial"])
+        assert poly == Ring(1, bool(relation)).gen(1) ** 1100, argv
     code, out, err = run(capsys, "spectrum", "--n", "1", "--N", "1100")
     assert (code, err) == (0, "")
     points = json.loads(out)["points"]
