@@ -15,8 +15,8 @@ from .polyring import (
     build_qseries,
     check_order,
     gaussian_multinomial,
-    inverse_pochhammer_series,
     laurent_dot,
+    symmetrized_series,
 )
 from .shapes import BorderStrip, Partition, partitions_of
 from .spectra import Z_vertex, polychronakos_ground_energy
@@ -201,10 +201,10 @@ def level1_theta(n, k, order):
 
     s and P are symmetric, so the search lists one vector per S_n-orbit,
     the non-increasing one, whose last entry is its minimum 0.
-    ``Ring.symmetrized`` expands the orbits of one exponent into their
-    distinct permutations, one contribution per exponent.  Distinct vectors
-    with minimum 0 are distinct monomials under the relation, so every
-    coefficient of the sum is 1.
+    ``symmetrized_series`` expands the orbits of one exponent into their
+    distinct permutations and times the inverse-q-factorial denominator
+    straight into the window.  Distinct vectors with minimum 0 are distinct
+    monomials under the relation, so no two exponents share a monomial.
 
     The search is complete.  Every vector in the window has P <= cap with
     cap = floor(2n * cutoff).  Let P_i and s_i be the pairwise sum and the
@@ -216,8 +216,7 @@ def level1_theta(n, k, order):
     most isqrt(cap), as a_1^2 = (a_1 - a_n)^2 <= P.  Each later entry is
     scanned downward from the previous one: below the prefix's minimum
     every (a_j - x)^2 grows as x falls, so once a prefix fails the bound
-    every smaller x fails it too and the scan stops.  The result carries
-    the inverse-q-factorial denominator to the requested order.
+    every smaller x fails it too and the scan stops.
     """
     if not 0 <= k < n:
         raise ValueError("sector out of range")
@@ -248,10 +247,12 @@ def level1_theta(n, k, order):
             break
         i, s, squares, pairs, x = frames.pop()
         prefix.pop()
-    numerator = build_qseries(ring, delta, order, (
-        (Fraction(pairs, two_n), ring.symmetrized(reps)) for pairs, reps in orbits.items()
-    ))
-    return numerator * inverse_pochhammer_series(ring, n - 1, order)
+    # the class of P sits at q^(P / 2n) = q^(delta + j), j = (P - k(n - k)) / 2n
+    # exactly: P = s(n - s) mod 2n, and s(n - s) = k(n - k) mod 2n for s = k mod n
+    base = k * (n - k)
+    return symmetrized_series(ring, delta, order, (
+        ((pairs - base) // two_n, reps) for pairs, reps in orbits.items()
+    ), n - 1)
 
 
 def polychronakos_partition(N, n, relation=False):

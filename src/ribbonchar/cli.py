@@ -497,6 +497,8 @@ def _write(value, newline, out):
         out.append(_quote(value))
     elif kind is int:
         out.append(repr(value))
+    elif kind is bool or value is None:
+        out.append("null" if value is None else "true" if value else "false")
     elif kind is list or kind is tuple:
         if not value:
             out.append("[]")

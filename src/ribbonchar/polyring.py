@@ -80,6 +80,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import mul
+from struct import Struct, error as struct_error
 
 DIGIT_BITS = 32
 _BIAS = 1 << (DIGIT_BITS - 1)
@@ -297,7 +298,7 @@ class Ring:
     """Context for Laurent polynomials: rank n, optional x_1*...*x_n = 1,
     and the packing of monomials into integer keys (module docstring)."""
 
-    __slots__ = ("n", "relation", "_one", "_wrap", "_units")
+    __slots__ = ("n", "relation", "_one", "_wrap", "_units", "_words", "_top")
 
     # One object per context, so identity is equality.  Sharing the table is
     # safe: its entries are immutable and keyed by their whole value, one per
@@ -317,6 +318,10 @@ class Ring:
             biased = n if self.relation else n + 1
             self._one = sum(_BIAS << (DIGIT_BITS * i) for i in range(biased))
             self._wrap = (1 << (DIGIT_BITS * biased + self.relation)) - 1
+            # ``pack`` writes a zero q word and n x digit values as words;
+            # _top is the place of the parity digit
+            self._words = Struct(f"<4x{n}i").pack
+            self._top = DIGIT_BITS * n
             # _units[i] is the key of x_(i+1)^(1/2) minus K: a doubled vector
             # w steps a key by sum_i w_i _units[i] (``symmetrized``)
             self._units = tuple(self.pack([int(i == j) for j in range(n)]) - self._one
@@ -339,21 +344,36 @@ class Ring:
         return tuple(vec)
 
     def pack(self, vec):
-        """The key of x^(vec/2) q^0; OverflowError if a digit is out of range."""
-        if len(vec) != self.n:
-            raise RingContextError(f"exponent vector length {len(vec)} != rank {self.n}")
-        if self.relation:
-            last = vec[-1]
-            key = last & 1
-            digits = [v - last for v in reversed(vec[:-1])]
-        else:
-            key = 0
-            digits = reversed(vec)
-        for d in digits:
-            if not -_HALF <= d < _HALF:
-                raise OverflowError(f"exponent {d} outside the packed range")
-            key = (key << DIGIT_BITS) + d + _BIAS
-        return (key << DIGIT_BITS) + _BIAS
+        """The key of x^(vec/2) q^0; OverflowError if a digit is out of range.
+
+        One bytes conversion, linear in n: a zero word for q, then the x
+        digit values as signed 32-bit words.  A value d in [-2**31, 2**31) is
+        the word d mod 2**32, which is the biased digit d + BIAS with bit B-1
+        flipped, so XOR with K gives every biased digit; under the relation
+        the top word is v_n - v_n = 0, where K has no bits, and the parity
+        goes there.  A value past 32 bits or a vector of the wrong length
+        fails to pack, and the in-range test of ``_checked`` catches the
+        rest (module docstring).
+        """
+        one = self._one
+        try:
+            if self.relation:
+                last = vec[-1]
+                key = (int.from_bytes(self._words(*[v - last for v in vec]), "little")
+                       ^ one | (last & 1) << self._top)
+            else:
+                key = int.from_bytes(self._words(*vec), "little") ^ one
+            if (key ^ (key << 1)) & one == one:
+                return key
+        except (struct_error, IndexError):
+            if len(vec) != self.n:
+                raise RingContextError(
+                    f"exponent vector length {len(vec)} != rank {self.n}") from None
+        last = vec[-1] if self.relation else 0
+        for v in reversed(vec[:-1] if self.relation else vec):
+            if not -_HALF <= v - last < _HALF:
+                raise OverflowError(f"exponent {v - last} outside the packed range")
+        raise TypeError(f"exponents must be integers, got {vec!r}")
 
     def _vector(self, x):
         """Canonical doubled vector of a key with its q digit shifted out."""
@@ -935,8 +955,11 @@ class QSeries:
 
 
 def check_order(order):
-    """Raise OverflowError if q powers up to ``order`` leave the packed q
-    digit.  An enumeration sized by the order checks it before it starts."""
+    """Raise ValueError for a negative ``order`` and OverflowError if q powers
+    up to it leave the packed q digit.  An enumeration sized by the order
+    checks it before it starts."""
+    if order < 0:
+        raise ValueError("truncation order must be >= 0")
     if order >= _HALF:
         raise OverflowError(f"order {order} outside the packed range")
 
@@ -1041,13 +1064,48 @@ def terms_text(poly, newline):
     return "[" + i1 + ("," + i1).join(out) + newline + "]"
 
 
-def inverse_pochhammer_series(ring, power, order):
-    """prod_{j>=1} (1 - q**j)**(-power) truncated at q**order, offset 0."""
-    coeffs = [0] * (order + 1)
-    coeffs[0] = 1
+def inverse_pochhammer_coefficients(power, order):
+    """The coefficients of prod_{j>=1} (1 - q**j)**(-power) at q**0..q**order."""
+    coeffs = [1] + [0] * order
     for j in range(1, order + 1):
         for _ in range(power):
             # multiply by 1/(1 - q^j) = 1 + q^j + q^{2j} + ...
             for d in range(j, order + 1):
                 coeffs[d] += coeffs[d - j]
+    return coeffs
+
+
+def inverse_pochhammer_series(ring, power, order):
+    """prod_{j>=1} (1 - q**j)**(-power) truncated at q**order, offset 0."""
+    coeffs = inverse_pochhammer_coefficients(power, order)
     return QSeries(0, ring.monomial((0,) * ring.n, QPoly(dict(enumerate(coeffs)))), order)
+
+
+def symmetrized_series(ring, offset, order, classes, power):
+    """q**offset sum_j q**j ``ring.symmetrized(vecs)`` over the (j, vecs)
+    classes, times ``inverse_pochhammer_series(ring, power, order)``.
+
+    The product is written straight into one term dict: the class at j
+    puts each of its keys k at k + j + f with the coefficient p_f of the
+    inverse Pochhammer series, for every f <= order - j with p_f nonzero
+    (``inverse_pochhammer_coefficients``).  The classes must share no
+    monomial, so every (monomial, f) pair is stored once; a count of the
+    stored terms checks that, and ValueError is raised if two classes met.
+    """
+    check_order(order)
+    coeffs = inverse_pochhammer_coefficients(power, order)
+    out = {}
+    stored = 0
+    for j, vecs in classes:
+        if not 0 <= j <= order:
+            raise ValueError(f"class exponent {j} not in 0..{order}")
+        items = ring.symmetrized(vecs).terms.items()
+        for f in range(order - j + 1):
+            p = coeffs[f]
+            if p:
+                shift = j + f
+                out.update({k + shift: c * p for k, c in items})
+                stored += len(items)
+    if len(out) != stored:
+        raise ValueError("symmetrized classes share a monomial")
+    return QSeries(offset, Laurent._raw(ring, out), order)

@@ -4,6 +4,8 @@ Hessenberg determinant memoised on prefixes, plus the expansion of a border
 strip into straight Schur functions."""
 from __future__ import annotations
 
+from functools import partial
+
 from .polyring import Ring, determinant, elementary_symmetric, laurent_dot
 from .shapes import partitions_of, strip_from_skew
 from .tableaux import STANDARD, count_LR, filling_sum
@@ -46,25 +48,37 @@ def schur_jacobi_trudi(shape, n, relation=False):
 
 
 def schur_strip_cached(blocks, n, relation=False):
-    """Border-strip Schur via the first-row expansion, memoized on prefixes.
-
-    s_<m_1..m_r> = sum_i (-1)^(i+1) e_{m_r+...+m_{r-i+1}} s_<m_1..m_{r-i}>,
-    and terms with the e-index above n vanish, so each step is short.  The
-    sum is one ``laurent_dot``: no product or partial sum is built.  The
-    missing prefixes are filled from short to long; the shortest follows a
-    held prefix, ends in a block above n (zero) or is empty, so nothing
-    recurses.
-    """
+    """Border-strip Schur via the first-row expansion, memoized on prefixes:
+    ``_strip_expansion`` in the entries e_m, which vanish above n."""
     blocks = tuple(blocks)
-    key = (blocks, n, relation)
-    got = _STRIP_CACHE.get(key)
+    got = _STRIP_CACHE.get((blocks, n, relation))
+    if got is None:
+        ring = Ring(n, relation)
+        got = _strip_expansion(_STRIP_CACHE, blocks, (n, relation), ring, partial(e_m, ring), n)
+    return got
+
+
+def _strip_expansion(memo, blocks, tag, ring, entry, top):
+    """F(blocks) for the first-row expansion of a strip's Hessenberg
+    determinant in the entries ``entry(m)``, memoised in ``memo`` under
+    (prefix, *tag):
+
+        F(m_1..m_r) = sum_i (-1)^(i+1) entry(m_r+...+m_{r-i+1}) F(m_1..m_{r-i}),
+
+    F(()) = 1, where entries with index above ``top`` vanish, so each step
+    stops there.  The sum is one ``laurent_dot``: no product or partial sum
+    is built.  The missing prefixes are filled from short to long; the
+    shortest follows a held prefix, ends in a block above ``top`` (zero) or
+    is empty, so nothing recurses.
+    """
+    key = (blocks, *tag)
+    got = memo.get(key)
     if got is not None:
         return got
     if any(m < 1 for m in blocks):
         raise ValueError("column lengths must be positive")
-    ring = Ring(n, relation)
     r = len(blocks)
-    while r and blocks[r - 1] <= n and (blocks[: r - 1], n, relation) not in _STRIP_CACHE:
+    while r and blocks[r - 1] <= top and (blocks[: r - 1], *tag) not in memo:
         r -= 1
     for r in range(r, len(blocks) + 1):
         products = []
@@ -72,12 +86,12 @@ def schur_strip_cached(blocks, n, relation=False):
         sign = 1
         for i in range(1, r + 1):
             idx += blocks[r - i]
-            if idx > n:
+            if idx > top:
                 break
-            products.append((sign, e_m(ring, idx), _STRIP_CACHE[blocks[: r - i], n, relation]))
+            products.append((sign, entry(idx), memo[(blocks[: r - i], *tag)]))
             sign = -sign
-        _STRIP_CACHE[blocks[:r], n, relation] = laurent_dot(ring, products) if r else ring.one()
-    return _STRIP_CACHE[key]
+        memo[(blocks[:r], *tag)] = laurent_dot(ring, products) if r else ring.one()
+    return memo[key]
 
 
 def schur_conjugate(shape, n):

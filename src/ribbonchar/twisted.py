@@ -4,16 +4,17 @@ by counting the fiber's words and by the sigma/t determinant, and the level-1
 lattice form versus the strip decomposition."""
 from __future__ import annotations
 
+import math
 from functools import partial
-from itertools import accumulate
 
 from .polyring import (
     Ring,
     build_qseries,
-    determinant,
+    check_order,
     elementary_symmetric,
     inverse_pochhammer_series,
 )
+from .schur import _strip_expansion
 from .shapes import BorderStrip, block_bits, blocks_from_ones
 from .spectra import Configuration, local_energy_sum, local_energy_words
 from .tableaux import (
@@ -126,6 +127,8 @@ def chi_twisted(blocks, n, method="tableaux"):
 
 _SIGMA_CACHE = {}
 _T_CACHE = {}
+_T_STRIP_CACHE = {}
+_DET_CACHE = {}
 
 
 def sigma_character(n):
@@ -186,19 +189,25 @@ def sL_determinant(blocks, n):
 
 
 def _t_determinant(blocks, n):
-    """The bordered Hessenberg determinant in the t characters."""
-    blocks = BorderStrip(blocks).columns  # rejects blocks below 1
-    ring = Ring(n, relation=False)
+    """The bordered Hessenberg determinant in the t characters, memoised on
+    prefixes.  Expanded along its trailing blocks it is G(blocks), where
+    G(m_1..m_r) = F(m_1..m_r) - G(m_1..m_{r-1}) and G(()) = 1, and F is the
+    first-row expansion of the strip in the entries t_m (``_strip_expansion``;
+    no t_m with m >= 0 vanishes).  The missing G are filled from short to
+    long, after every F of the prefixes is held."""
+    blocks = tuple(blocks)
+    got = _DET_CACHE.get((blocks, n))
+    if got is not None:
+        return got
+    _strip_expansion(_T_STRIP_CACHE, blocks, (n,), Ring(n, relation=False),
+                     partial(t_character, n), math.inf)
     r = len(blocks)
-    psum = list(accumulate(blocks, initial=0))
-    size = r + 1
-    matrix = [[ring.one()] * size]
-    for i in range(1, size):
-        # column 0 falls out of the same rule: t_0 = 1 and t_{<0} = 0
-        matrix.append(
-            [t_character(n, psum[r + 1 - i] - psum[r - j]) for j in range(size)]
-        )
-    return determinant(matrix)
+    while r and (blocks[: r - 1], n) not in _DET_CACHE:
+        r -= 1
+    for r in range(r, len(blocks) + 1):
+        f = _T_STRIP_CACHE[blocks[:r], n]
+        _DET_CACHE[blocks[:r], n] = f - _DET_CACHE[blocks[: r - 1], n] if r else f
+    return _DET_CACHE[blocks, n]
 
 
 def twisted_t_statistic(blocks):
@@ -226,8 +235,7 @@ def twisted_strips(order):
 
 def _strip_sum(n, order, character):
     """Sum of q^t(blocks) character(blocks) over the strip window."""
-    if order < 0:
-        raise ValueError("truncation order must be >= 0")
+    check_order(order)
     return build_qseries(
         Ring(n, relation=False),
         0,
@@ -273,8 +281,7 @@ def twisted_level1_theta(n, order):
     under g -> -1-g and grows in g >= 0, so each factor runs over g in
     [-1-top, top], top the largest g >= 0 with g(g+1)/2 <= order.
     """
-    if order < 0:
-        raise ValueError("truncation order must be >= 0")
+    check_order(order)
     ring = Ring(n, relation=False)
     top = 0
     while (top + 1) * (top + 2) // 2 <= order:

@@ -3,13 +3,23 @@ command and no library route calls them, so they live here rather than in the
 package.  An oracle is the second route of a quantity whose library route is
 checked against it."""
 import functools
+from itertools import accumulate
 
 from ribbonchar.characters import kostka_rhs
-from ribbonchar.polyring import QPoly, Ring
+from ribbonchar.polyring import (
+    DIGIT_BITS,
+    QPoly,
+    Ring,
+    RingContextError,
+    build_qseries,
+    determinant,
+    inverse_pochhammer_series,
+)
 from ribbonchar.schur import schur_enumerative, schur_jacobi_trudi
 from ribbonchar.shapes import Partition, SkewDiagram
 from ribbonchar.spectra import enumerate_Sp_N
 from ribbonchar.tableaux import STANDARD, filling_sum, kostka_numbers
+from ribbonchar.twisted import t_character
 
 
 def reversed_q(p):
@@ -136,3 +146,45 @@ def drinfeld_root_str(root):
     if const == 0:
         return btxt
     return f"{const}{btxt}"
+
+
+def pack_by_shifts(ring, vec):
+    """``Ring.pack`` digit by digit: the key grows by one shift and one add
+    per digit, most significant first, each digit range-checked on the way."""
+    bias, half = 1 << (DIGIT_BITS - 1), 1 << (DIGIT_BITS - 2)
+    if len(vec) != ring.n:
+        raise RingContextError(f"exponent vector length {len(vec)} != rank {ring.n}")
+    if ring.relation:
+        last = vec[-1]
+        key = last & 1
+        digits = [v - last for v in reversed(vec[:-1])]
+    else:
+        key = 0
+        digits = reversed(vec)
+    for d in digits:
+        if not -half <= d < half:
+            raise OverflowError(f"exponent {d} outside the packed range")
+        key = (key << DIGIT_BITS) + d + bias
+    return (key << DIGIT_BITS) + bias
+
+
+def t_determinant_by_matrix(blocks, n):
+    """The bordered Hessenberg determinant in the t characters, built as a
+    matrix and handed to ``determinant``: a first row of ones, then row i
+    holds t_(p_(r+1-i) - p_(r-j)) for the prefix sums p of the blocks."""
+    ring = Ring(n, relation=False)
+    r = len(blocks)
+    psum = list(accumulate(blocks, initial=0))
+    matrix = [[ring.one()] * (r + 1)]
+    for i in range(1, r + 1):
+        # column 0 falls out of the same rule: t_0 = 1 and t_{<0} = 0
+        matrix.append([t_character(n, psum[r + 1 - i] - psum[r - j]) for j in range(r + 1)])
+    return determinant(matrix)
+
+
+def symmetrized_series_by_product(ring, offset, order, classes, power):
+    """``symmetrized_series`` as two series: the symmetrized classes summed
+    by ``build_qseries``, times ``inverse_pochhammer_series``."""
+    numerator = build_qseries(ring, offset, order, (
+        (offset + j, ring.symmetrized(vecs)) for j, vecs in classes))
+    return numerator * inverse_pochhammer_series(ring, power, order)

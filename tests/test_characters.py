@@ -35,7 +35,9 @@ from ribbonchar.polyring import (
     inverse_pochhammer_series,
     laurent_dot,
     q_pochhammer,
+    symmetrized_series,
 )
+from ribbonchar import characters, twisted
 from ribbonchar import schur as schur_module
 from ribbonchar.schur import e_m, schur_strip_cached
 from ribbonchar.shapes import BorderStrip, Partition, partitions_of, t_statistic
@@ -47,6 +49,7 @@ from helpers import (
     at_q_one,
     kostka_by_peel,
     schur_straight,
+    symmetrized_series_by_product,
 )
 
 
@@ -136,9 +139,12 @@ def test_compositions_in_lexicographic_order():
             assert list(_compositions(total, parts)) == want, (total, parts)
 
 
-def test_loops_reach_no_recursion_limit():
+def test_loops_reach_no_recursion_limit(monkeypatch):
     # each route once recursed one frame per column, part or entry; with
     # the limit 100 frames above the current depth, 300 of them must pass
+    # (110 blocks for the twisted determinant, whose prefixes start empty)
+    monkeypatch.setattr(twisted, "_T_STRIP_CACHE", {})
+    monkeypatch.setattr(twisted, "_DET_CACHE", {})
     depth, frame = 0, sys._getframe()
     while frame is not None:
         depth, frame = depth + 1, frame.f_back
@@ -154,6 +160,8 @@ def test_loops_reach_no_recursion_limit():
         theta = level1_theta(r, 0, 0)
         assert theta.coeffs == [Ring(r, relation=True).one()]
         assert list(decomposition_strips(1, r, 0)) == [((), 0)]
+        ones = (1,) * 110
+        assert twisted.sL_determinant(ones, 1) == twisted.chi_twisted(ones, 1, method="fiber")
     finally:
         sys.setrecursionlimit(limit)
 
@@ -437,6 +445,24 @@ def test_orbit_theta_matches_coordinate_search(n):
         for k in range(n):
             theta = level1_theta(n, k, order)
             assert theta == theta_by_coordinates(n, k, order), (n, k, order)
+
+
+def test_theta_expansion_matches_product_oracle(monkeypatch):
+    # the orbit search as it is, with its classes summed and multiplied by
+    # the inverse Pochhammer series as two series
+    windows = [(n, k, order) for n in range(1, 7) for k in range(n) for order in range(7)]
+    with monkeypatch.context() as patch:
+        patch.setattr(characters, "symmetrized_series", symmetrized_series_by_product)
+        expected = [level1_theta(*window) for window in windows]
+    for window, theta in zip(windows, expected):
+        assert level1_theta(*window) == theta, window
+    # classes that share a monomial are refused, not written over each other
+    ring = Ring(2, relation=True)
+    classes = [(0, [(2, 0)]), (1, [(0, 2)])]
+    summed = symmetrized_series_by_product(ring, 0, 3, classes, 1)
+    assert summed.coeffs[1].coeff((0, 2)) == QPoly.const(2)
+    with pytest.raises(ValueError, match="share a monomial"):
+        symmetrized_series(ring, 0, 3, classes, 1)
 
 
 def test_theta_rejects_negative_order():

@@ -22,7 +22,7 @@ from ribbonchar.polyring import (
     q_pochhammer,
     qseries_to_json,
 )
-from helpers import reversed_q
+from helpers import pack_by_shifts, reversed_q
 from wire import laurent_from_json, laurent_terms, qseries_from_json
 
 
@@ -506,6 +506,43 @@ def test_packing_round_trip_and_additivity(case):
     assert product.sorted_terms() == [(ring.canon(total), QPoly.term(e + f, 3))]
     assert product.coeff(total) == QPoly.term(e + f, 3)
     assert not product.coeff(total[:-1] + (total[-1] + 1,))
+
+
+def packed_or_refused(pack, vec):
+    try:
+        return pack(vec)
+    except (OverflowError, RingContextError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def pack_cases(draw):
+    """A ring of rank 1..24 and a vector of small entries, +-HALF edge
+    digits and values past 32 bits, sometimes one entry short or long."""
+    ring = Ring(draw(st.integers(1, 24)), draw(st.booleans()))
+    edge = st.sampled_from([HALF - 1, HALF, -HALF, -HALF - 1, 2 ** 31, -2 ** 31 - 1, 2 ** 70])
+    entry = st.one_of(st.integers(-9, 9), st.integers(-HALF, HALF - 1), edge)
+    size = ring.n + draw(st.sampled_from([0] * 8 + [-1, 1]))
+    return ring, draw(st.lists(entry, min_size=size, max_size=size))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pack_cases())
+def test_pack_matches_the_digit_loop(case):
+    ring, vec = case
+    assert packed_or_refused(ring.pack, vec) == packed_or_refused(
+        lambda v: pack_by_shifts(ring, v), vec)
+
+
+def test_pack_matches_the_digit_loop_at_rank_1100():
+    for relation in (False, True):
+        ring = Ring(1100, relation)
+        vec = [(-1) ** i * (i % 97) for i in range(1100)]
+        assert ring.pack(vec) == pack_by_shifts(ring, vec)
+        for edge in (HALF, -HALF - 1):
+            vec[500] = edge
+            assert packed_or_refused(ring.pack, vec) == packed_or_refused(
+                lambda v: pack_by_shifts(ring, v), vec)
 
 
 def test_out_of_range_exponents_raise_or_come_out_exact():

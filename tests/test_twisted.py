@@ -3,7 +3,10 @@ from itertools import accumulate, product
 from operator import eq
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ribbonchar import twisted
 from ribbonchar.polyring import Ring, build_qseries, inverse_pochhammer_series
 from ribbonchar.shapes import BorderStrip
 from ribbonchar.spectra import SpinConfiguration
@@ -26,6 +29,7 @@ from ribbonchar.twisted import (
     twisted_t_statistic,
     weight_twisted,
 )
+from helpers import t_determinant_by_matrix
 
 
 def test_local_energy_twisted():
@@ -162,6 +166,28 @@ def test_three_way_character_equality_rank_three():
         fib = chi_twisted(blocks, 3, method="fiber")
         det = sL_determinant(blocks, 3)
         assert tab == fib == det, blocks
+
+
+def test_prefix_expansion_matches_the_matrix_determinant(monkeypatch):
+    # from empty memos, the longest strips first, so that one call fills a
+    # run of prefixes, then every strip again from the held ones
+    strips = list(twisted_strips(8))
+    for n in (1, 2, 3, 4):
+        monkeypatch.setattr(twisted, "_T_STRIP_CACHE", {})
+        monkeypatch.setattr(twisted, "_DET_CACHE", {})
+        for blocks in sorted(strips, key=len, reverse=True) + strips:
+            det = t_determinant_by_matrix(blocks, n)
+            assert twisted._t_determinant(blocks, n) == det, (n, blocks)
+            assert sL_determinant(blocks, n) == sigma_character(n) * det, (n, blocks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(1, 2 * n + 1), max_size=6))))
+def test_prefix_expansion_matches_the_matrix_determinant_random(case):
+    n, blocks = case
+    expected = sigma_character(n) * t_determinant_by_matrix(blocks, n)
+    assert sL_determinant(blocks, n) == expected
 
 
 def test_characters_match_the_object_enumerators():
