@@ -201,8 +201,8 @@ def level1_theta(n, k, order):
 
     s and P are symmetric, so the search lists one vector per S_n-orbit,
     the non-increasing one, whose last entry is its minimum 0.
-    ``symmetrized_series`` expands the orbits of one exponent into their
-    distinct permutations and times the inverse-q-factorial denominator
+    ``symmetrized_series`` writes the orbits of one exponent, as their
+    distinct permutations times the inverse-q-factorial denominator,
     straight into the window.  Distinct vectors with minimum 0 are distinct
     monomials under the relation, so no two exponents share a monomial.
 
@@ -249,9 +249,8 @@ def level1_theta(n, k, order):
         prefix.pop()
     # the class of P sits at q^(P / 2n) = q^(delta + j), j = (P - k(n - k)) / 2n
     # exactly: P = s(n - s) mod 2n, and s(n - s) = k(n - k) mod 2n for s = k mod n
-    base = k * (n - k)
     return symmetrized_series(ring, delta, order, (
-        ((pairs - base) // two_n, reps) for pairs, reps in orbits.items()
+        ((pairs - k * (n - k)) // two_n, reps) for pairs, reps in orbits.items()
     ), n - 1)
 
 

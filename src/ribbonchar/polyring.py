@@ -64,8 +64,9 @@ OverflowError, as does packing a digit out of range.  Every other new key
 is packed (``from_terms``), a running sum bounded by one ``pack`` of an
 extreme vector (``symmetrized``, ``walk_sum``, which also bounds its q digit
 by the walk length times the largest q step), a q shift inside a
-``build_qseries`` window (0 <= e <= order < H), or a q digit set to 0
-(``QSeries.coeffs``), so no key ever wraps: an operation raises or is exact.
+``build_qseries`` or ``symmetrized_series`` window (0 <= e <= order < H),
+or a q digit set to 0 (``QSeries.coeffs``), so no key ever wraps: an
+operation raises or is exact.
 
 Wire format.  ``laurent_to_json`` is {"n", "relation", "terms"} and
 ``qseries_to_json`` adds "offset" and "order" and has one terms list per q
