@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -26,7 +27,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from . import characters, schur, shapes, spectra, twisted
 from .polyring import (
-    Laurent, QPoly, QSeries, laurent_to_json, qpoly_to_json, qseries_to_json, terms_text,
+    Laurent, QPoly, QSeries, Ring, laurent_to_json, qpoly_to_json, qseries_to_json, terms_text,
 )
 from .shapes import BorderStrip, Partition, SkewDiagram
 
@@ -124,13 +125,19 @@ def cmd_spectrum(args):
     check_rank(args.n, args.N)
     if args.sector is not None and not 0 <= args.sector < args.n:
         raise UsageError(f"--sector must be in 0..{args.n - 1}, got {args.sector}")
+    # a fiber size is the strip's Schur function at x = 1: the strip
+    # expansion in the entries e_m(1, ..., 1) = C(n, m), in the rank-1 ring
+    ring = Ring(1)
+    sizes = [ring.one() * math.comb(args.n, m) for m in range(args.n + 1)]
+    memo = {}
     rows = []
     for blocks in sorted(spectra.enumerate_Sp_N(args.N, args.n)):
         point_sector = sum(blocks) % args.n
         if args.sector is not None and point_sector != args.sector:
             continue
         bs = BorderStrip(blocks)
-        fiber_size = schur.schur_strip_cached(blocks, args.n).at_x_ones().at()
+        fiber_size = schur._strip_expansion(memo, blocks, (), ring, sizes.__getitem__,
+                                            args.n).at_x_ones().at()
         rows.append(
             {
                 "blocks": list(blocks),

@@ -299,7 +299,7 @@ class Ring:
     """Context for Laurent polynomials: rank n, optional x_1*...*x_n = 1,
     and the packing of monomials into integer keys (module docstring)."""
 
-    __slots__ = ("n", "relation", "_one", "_wrap", "_units", "_words", "_top")
+    __slots__ = ("n", "relation", "_one", "_wrap", "_units", "_words", "_top", "_read")
 
     # One object per context, so identity is equality.  Sharing the table is
     # safe: its entries are immutable and keyed by their whole value, one per
@@ -323,6 +323,10 @@ class Ring:
             # _top is the place of the parity digit
             self._words = Struct(f"<4x{n}i").pack
             self._top = DIGIT_BITS * n
+            # ``_vector`` reads the x words: K's x part, their mask and bytes
+            words = biased - 1
+            self._read = (self._one >> DIGIT_BITS, (1 << DIGIT_BITS * words) - 1,
+                          4 * words, Struct(f"<{words}i").unpack)
             # _units[i] is the key of x_(i+1)^(1/2) minus K: a doubled vector
             # w steps a key by sum_i w_i _units[i] (``symmetrized``)
             self._units = tuple(self.pack([int(i == j) for j in range(n)]) - self._one
@@ -377,17 +381,18 @@ class Ring:
         raise TypeError(f"exponents must be integers, got {vec!r}")
 
     def _vector(self, x):
-        """Canonical doubled vector of a key with its q digit shifted out."""
-        digits = []
-        for _ in range(self.n - self.relation):
-            digits.append((x & _DIGIT) - _BIAS)
-            x >>= DIGIT_BITS
+        """Canonical doubled vector of a key with its q digit shifted out: the
+        x words of ``pack`` read by one unpack, the parity digit above them."""
+        one, mask, size, unpack = self._read
+        digits = unpack(((x ^ one) & mask).to_bytes(size, "little"))
         if not self.relation:
-            return tuple(digits)
-        # x is the parity of v_n; v_n = t gives min entry m + t in {0, 1}
-        m = min([0, *digits])
-        t = (m + x) % 2 - m
-        return tuple(d + t for d in digits) + (t,)
+            return digits
+        # the words are v_i - v_n, then v_n - v_n = 0; above them is the
+        # parity of v_n, and v_n = t gives min entry m + t in {0, 1}
+        digits += (0,)
+        m = min(digits)
+        t = (m + (x >> 8 * size)) % 2 - m
+        return tuple([d + t for d in digits]) if t else digits
 
     def _checked(self, terms):
         """``terms`` if every key is in range, else OverflowError."""

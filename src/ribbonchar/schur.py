@@ -1,18 +1,19 @@
 """Skew Schur functions by tableau enumeration, by the elementary-symmetric
 determinant, and, for border strips, by the first-row expansion of the strip's
-Hessenberg determinant memoised on prefixes, plus the expansion of a border
-strip into straight Schur functions."""
+Hessenberg determinant memoised on prefixes, the q-graded sum of the strips of
+one size, plus the expansion of a border strip into straight Schur functions."""
 from __future__ import annotations
 
 from functools import partial
 
-from .polyring import Ring, determinant, elementary_symmetric, laurent_dot
+from .polyring import QPoly, Ring, determinant, elementary_symmetric, laurent_dot
 from .shapes import partitions_of, strip_from_skew
 from .tableaux import STANDARD, count_LR, filling_sum
 
 
 _E_CACHE = {}
 _STRIP_CACHE = {}
+_SIZE_CACHE = {}
 
 
 def e_m(ring, m):
@@ -92,6 +93,45 @@ def _strip_expansion(memo, blocks, tag, ring, entry, top):
             sign = -sign
         memo[(blocks[:r], *tag)] = laurent_dot(ring, products) if r else ring.one()
     return memo[key]
+
+
+def _group_weights(top):
+    """For t = 0..top, {(i, sigma): (-1)^(i-1) times the number of
+    compositions of t into i parts whose prefix sums add up to sigma}, each
+    one of t - b with a last part b, which adds a part and the prefix sum t."""
+    weights = [{(0, 0): -1}]
+    for t in range(1, top + 1):
+        out = {}
+        for b in range(1, t + 1):
+            for (i, s), c in weights[t - b].items():
+                out[i + 1, s + t] = out.get((i + 1, s + t), 0) - c
+        weights.append(out)
+    return weights
+
+
+def strip_size_sum(ring, N):
+    """V(N): the sum over the block lists in 1..n of size N of q^(the sum of
+    their prefix sums) times the strip's Schur function, listing no strip.
+
+    Unrolled, ``_strip_expansion`` sums over the cuts of the blocks into
+    consecutive groups one (-1)^(i-1) e_t per group of i blocks summing to t.
+    A last group after a prefix of size p adds i*p + sigma to the prefix
+    sums, sigma the group's own.  So V(0) = 1 and V(p) is one ``laurent_dot``
+    of e_t g(p - t, t) V(p - t) over t <= n, with g(p, t) the sum of
+    (-1)^(i-1) q^(i*p + sigma) over the compositions of t (``_group_weights``).
+    V does not depend on N: the list is kept per ring and grows on demand.
+    """
+    sums = _SIZE_CACHE.setdefault(ring, [ring.one()])
+    if len(sums) <= N:
+        weights = _group_weights(ring.n)
+        for p in range(len(sums), N + 1):
+            products = []
+            for t in range(1, min(ring.n, p) + 1):
+                g = sum((QPoly.term(i * (p - t) + s, c) for (i, s), c in weights[t].items()),
+                        QPoly())
+                products.append((1, e_m(ring, t) * g, sums[p - t]))
+            sums.append(laurent_dot(ring, products))
+    return sums[N]
 
 
 def schur_conjugate(shape, n):

@@ -366,24 +366,16 @@ def Z_vertex(N, n, relation=False):
     """Partition function of the length-N truncation, summed over blocks.
 
     Each block list contributes q^(excitation) times the Schur function of
-    the size-N strip read off the blocks (a final block n keeps its column).
+    the size-N strip read off the blocks (a final block n keeps its column):
+    ``schur.strip_size_sum``, which grades each strip by the sum of its
+    prefix sums, less the ground sum.
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
     ring = Ring(n, relation)
+    total = _schur.strip_size_sum(ring, N)
     order = polychronakos_ground_energy(N, n)
-    return build_qseries(
-        ring,
-        0,
-        order,
-        (
-            (
-                excitation_energy(blocks, n),
-                _schur.schur_strip_cached(blocks, n, relation),
-            )
-            for blocks in enumerate_Sp_N(N, n)
-        ),
-    )
+    return build_qseries(ring, 0, order, [(0, total * QPoly.term(-ground_sum(N, n)))])
 
 
 def Z_vertex_direct(N, n, relation=False):

@@ -15,9 +15,13 @@ from ribbonchar.polyring import (
     determinant,
     inverse_pochhammer_series,
 )
-from ribbonchar.schur import schur_enumerative, schur_jacobi_trudi
+from ribbonchar.schur import schur_enumerative, schur_jacobi_trudi, schur_strip_cached
 from ribbonchar.shapes import Partition, SkewDiagram
-from ribbonchar.spectra import enumerate_Sp_N
+from ribbonchar.spectra import (
+    enumerate_Sp_N,
+    excitation_energy,
+    polychronakos_ground_energy,
+)
 from ribbonchar.tableaux import STANDARD, filling_sum, kostka_numbers
 from ribbonchar.twisted import t_character
 
@@ -166,6 +170,32 @@ def pack_by_shifts(ring, vec):
             raise OverflowError(f"exponent {d} outside the packed range")
         key = (key << DIGIT_BITS) + d + bias
     return (key << DIGIT_BITS) + bias
+
+
+def vector_by_digits(ring, x):
+    """``Ring._vector`` digit by digit: each biased digit masked off and
+    unbiased in turn, the parity digit left over under the relation."""
+    bias, digit = 1 << (DIGIT_BITS - 1), (1 << DIGIT_BITS) - 1
+    digits = []
+    for _ in range(ring.n - ring.relation):
+        digits.append((x & digit) - bias)
+        x >>= DIGIT_BITS
+    if not ring.relation:
+        return tuple(digits)
+    m = min([0, *digits])
+    t = (m + x) % 2 - m
+    return tuple(d + t for d in digits) + (t,)
+
+
+def z_vertex_by_strips(N, n, relation=False):
+    """The length-N partition function strip by strip: q^(excitation) times
+    ``schur_strip_cached`` for every block list of size N.  The oracle of
+    ``spectra.Z_vertex``."""
+    ring = Ring(n, relation)
+    return build_qseries(ring, 0, polychronakos_ground_energy(N, n), (
+        (excitation_energy(blocks, n), schur_strip_cached(blocks, n, relation))
+        for blocks in enumerate_Sp_N(N, n)
+    ))
 
 
 def t_determinant_by_matrix(blocks, n):

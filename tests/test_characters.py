@@ -39,7 +39,7 @@ from ribbonchar.polyring import (
 )
 from ribbonchar import characters, twisted
 from ribbonchar import schur as schur_module
-from ribbonchar.schur import e_m, schur_strip_cached
+from ribbonchar.schur import _group_weights, e_m, schur_strip_cached
 from ribbonchar.shapes import BorderStrip, Partition, partitions_of, t_statistic
 from ribbonchar.spectra import Z_vertex, Z_vertex_direct, enumerate_Sp_N, motifs
 from ribbonchar.tableaux import count_LR
@@ -50,6 +50,7 @@ from helpers import (
     kostka_by_peel,
     schur_straight,
     symmetrized_series_by_product,
+    z_vertex_by_strips,
 )
 
 
@@ -201,6 +202,39 @@ def test_generating_function():
         for N in range(0, 5):
             lhs = q_truncated(h[N] * q_pochhammer(N), M)
             assert lhs == q_truncated(rogers_szego(N, n), M), (n, N)
+
+
+def test_group_weights_are_the_rogers_prefactors():
+    # g(p, t) = sum over the compositions of t of (-1)^(parts - 1)
+    # q^(parts * p + sum of prefix sums) is (-1)^(t+1) q^(p+t) A_closed(p+t, t),
+    # which ``strip_size_sum`` never reads: it counts the compositions
+    weights = _group_weights(6)
+    for t in range(1, 7):
+        for p in range(9):
+            g = QPoly()
+            for (i, sigma), c in weights[t].items():
+                g = g + QPoly.term(i * p + sigma, c)
+            assert g == QPoly.term(p + t, (-1) ** (t + 1)) * A_closed(p + t, t), (p, t)
+
+
+def test_strip_sums_read_no_recursion_route(monkeypatch):
+    # the strip sum of ``verify rogers`` and ``verify polychronakos`` shares
+    # no coefficient with the recursion check: both hold with the recursion,
+    # its prefactors and the strip-by-strip Schur functions made to raise
+    sizes = [(n, N) for n in range(1, 5) for N in range(8)]
+    expected = {(n, N): (z_vertex_by_strips(N, n), rogers_szego(N, n)) for n, N in sizes}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the strip sum read another route")
+
+    monkeypatch.setattr(schur_module, "_SIZE_CACHE", {})
+    for module, name in ((characters, "A_closed"), (characters, "rogers_szego_recursive"),
+                         (schur_module, "schur_strip_cached"),
+                         (schur_module, "_strip_expansion")):
+        monkeypatch.setattr(module, name, refuse)
+    for (n, N), (z, h) in expected.items():
+        assert Z_vertex(N, n) == z, (n, N)
+        assert F_N(N, n) == h, (n, N)
 
 
 def test_A_coefficients():

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import ribbonchar
 from ribbonchar import characters, cli
+from ribbonchar import schur as schur_module
 from ribbonchar.cli import dumps_indented, laurent_to_json, main
 from ribbonchar.polyring import QPoly, Ring, build_qseries
 from ribbonchar.shapes import BorderStrip, Partition
@@ -188,6 +189,29 @@ def test_spectrum_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("blocks;")
     assert len(lines) == 3
+
+
+def test_spectrum_fiber_sizes_count_the_configurations(capsys):
+    # every word of length N lies in one fiber, so the sizes add up to n^N,
+    # and each is its strip's Schur function at x = 1
+    for n, N in ((1, 5), (2, 9), (3, 6), (5, 6)):
+        code, out, _ = run(capsys, "spectrum", "--n", str(n), "--N", str(N))
+        assert code == 0
+        points = json.loads(out)["points"]
+        assert sum(p["fiber_size"] for p in points) == n ** N, (n, N)
+        for p in points:
+            strip = schur_module.schur_strip_cached(tuple(p["blocks"]), n)
+            assert p["fiber_size"] == strip.at_x_ones().at(), (n, p["blocks"])
+
+
+def test_strip_sum_past_the_packed_q_range_is_usage_error(capsys, monkeypatch):
+    # the prefix sums of the strip of 46341 cells add up past the packed q
+    # digit, so the strip sum raises OverflowError and the command exits 2
+    monkeypatch.setattr(schur_module, "_SIZE_CACHE", {})
+    for what in ("rogers", "polychronakos"):
+        code, out, err = run(capsys, "verify", what, "--n", "1", "--N", "46341")
+        assert (code, out) == (2, ""), what
+        assert "outside the packed range" in json.loads(err)["error"], what
 
 
 def test_spectrum_json_sector_filter(capsys):

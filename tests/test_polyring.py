@@ -22,7 +22,7 @@ from ribbonchar.polyring import (
     q_pochhammer,
     qseries_to_json,
 )
-from helpers import pack_by_shifts, reversed_q
+from helpers import pack_by_shifts, reversed_q, vector_by_digits
 from wire import laurent_from_json, laurent_terms, qseries_from_json
 
 
@@ -543,6 +543,20 @@ def test_pack_matches_the_digit_loop_at_rank_1100():
             vec[500] = edge
             assert packed_or_refused(ring.pack, vec) == packed_or_refused(
                 lambda v: pack_by_shifts(ring, v), vec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.booleans(),
+    st.lists(doubled_entries(HALF // 2), min_size=n, max_size=n),
+    st.integers(-HALF, HALF - 1))))
+def test_vector_matches_the_digit_loop(case):
+    # in range under both packings: entries below HALF/2, so every
+    # difference under the relation lies in (-HALF, HALF)
+    n, relation, vec, e = case
+    ring = Ring(n, relation)
+    x = (ring.pack(vec) + e) >> DIGIT_BITS
+    assert ring._vector(x) == vector_by_digits(ring, x) == ring.canon(vec)
 
 
 def test_out_of_range_exponents_raise_or_come_out_exact():

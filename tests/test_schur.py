@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import accumulate
 
 import pytest
@@ -9,6 +10,7 @@ from ribbonchar import twisted
 from ribbonchar.polyring import Ring, determinant
 from ribbonchar.schur import (
     _STRIP_CACHE,
+    _group_weights,
     lr_expand,
     schur_conjugate,
     schur_enumerative,
@@ -17,6 +19,7 @@ from ribbonchar.schur import (
     e_m,
 )
 from ribbonchar.shapes import BorderStrip, Partition, SkewDiagram, complement
+from ribbonchar.spectra import enumerate_Sp_N
 from helpers import conjugate_by_fillings, lr_extract, permuted, schur_straight
 
 
@@ -284,3 +287,13 @@ def test_strip_routes_reject_nonpositive_blocks(route, blocks):
         with pytest.raises(ValueError, match="column lengths must be positive"):
             ROUTES[route](blocks)
     assert not any(key[0] == blocks for key in _STRIP_CACHE)
+
+
+def test_group_weights_count_the_compositions():
+    # each composition of t, listed one by one, at (parts, sum of prefix sums)
+    weights = _group_weights(8)
+    for t in range(9):
+        brute = Counter()
+        for comp in enumerate_Sp_N(t, t):
+            brute[len(comp), sum(accumulate(comp))] += (-1) ** (len(comp) - 1)
+        assert weights[t] == dict(brute), t

@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ribbonchar import schur as schur_module
 from ribbonchar.polyring import Ring, build_qseries
 from ribbonchar.schur import schur_enumerative
 from ribbonchar.shapes import BorderStrip, t_statistic
@@ -38,6 +40,7 @@ from ribbonchar.spectra import (
 )
 from ribbonchar.tableaux import enumerate_sst, signed_alphabet, tableau_weight
 from ribbonchar.twisted import local_energy_twisted
+from helpers import z_vertex_by_strips
 
 
 def all_points(max_size, n):
@@ -481,6 +484,47 @@ def test_Z_vertex_forms_agree():
         direct = Z_vertex_direct(N, n)
         eq, _ = strips.compare(direct)
         assert eq, (n, N)
+
+
+@pytest.mark.parametrize("relation", [False, True])
+def test_Z_vertex_equals_the_strip_by_strip_oracle(relation):
+    # the last two are the sizes of the benchmark's polychronakos checks
+    sizes = [(n, N) for n in range(1, 6) for N in range(10)] + [(2, 14), (3, 10)]
+    for n, N in sizes:
+        assert Z_vertex(N, n, relation) == z_vertex_by_strips(N, n, relation), (n, N)
+
+
+def test_Z_vertex_memo_grows_by_size_and_keeps_relations_apart(monkeypatch):
+    memo = {}
+    monkeypatch.setattr(schur_module, "_SIZE_CACHE", memo)
+    cold = Z_vertex(6, 3)
+    memo.clear()
+    Z_vertex(9, 3)
+    assert Z_vertex(6, 3) == cold
+    Z_vertex(4, 3, relation=True)
+    assert {ring: len(sums) for ring, sums in memo.items()} == {
+        Ring(3): 10, Ring(3, relation=True): 5}
+    assert Z_vertex(6, 3, relation=True) == z_vertex_by_strips(6, 3, relation=True)
+    assert Z_vertex(6, 3) == cold
+
+
+def test_Z_vertex_past_the_packed_q_range_raises(monkeypatch):
+    # at n = 1 the one strip of N cells has prefix sums adding up to
+    # N(N+1)/2, which first leaves the packed q digit (below 2^30) at
+    # N = 46341, though the ground sum would bring the excitation back to 0
+    monkeypatch.setattr(schur_module, "_SIZE_CACHE", {})
+    assert Z_vertex(46340, 1).coeffs == [Ring(1).monomial((2 * 46340,))]
+    with pytest.raises(OverflowError, match="outside the packed range"):
+        Z_vertex(46341, 1)
+
+
+def test_Z_vertex_at_rank_4_length_10_is_fast(monkeypatch):
+    monkeypatch.setattr(schur_module, "_SIZE_CACHE", {})
+    started = time.perf_counter()
+    strips = Z_vertex(10, 4)
+    elapsed = time.perf_counter() - started
+    assert strips == Z_vertex_direct(10, 4)
+    assert elapsed < 1.0, elapsed
 
 
 def test_Z_dimension_count():
