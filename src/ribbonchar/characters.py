@@ -20,7 +20,7 @@ from .polyring import (
 )
 from .shapes import BorderStrip, Partition, partitions_of
 from .spectra import Z_vertex, polychronakos_ground_energy
-from .tableaux import count_LR, lattice_column, lattice_start
+from .tableaux import count_LR, lattice_columns, lattice_start
 from . import schur as _schur
 
 
@@ -293,11 +293,13 @@ def kostka_foulkes(lam, n=None):
     A depth-first search over column prefixes, on an explicit stack whose
     children are pushed in decreasing column length and so popped in
     increasing order, lists the strips in ``enumerate_Sp_N``'s lexicographic
-    order.  A prefix carries the ``count_LR`` states of its columns, one
-    ``lattice_column`` step per column.  The pruning is complete: a state
-    after a step extends one before it, so a prefix with no states leaves
-    every strip extending it at count 0, which the audit list omits.  t, the
-    sum of all prefix sums but the last, grows by the previous one per column.
+    order.  A prefix carries the ``count_LR`` states of its columns; one
+    ``lattice_columns`` call gives them after every next column, as only the
+    top cell reads the column before.  The pruning is complete: a state
+    after a step extends one before it, so the list stops at the first
+    length with no states, past which every strip counts 0 and the audit
+    list omits it.  t, the sum of all prefix sums but the last, grows by the
+    previous one per column.
     """
     if not isinstance(lam, Partition):
         lam = Partition(lam)
@@ -316,10 +318,9 @@ def kostka_foulkes(lam, n=None):
             strips.append((BorderStrip(blocks), t, c))
             coeffs[t] = coeffs.get(t, 0) + c
             continue
-        for m in range(min(n, N - p), 0, -1):
-            nxt = lattice_column(states, m, cap)
-            if nxt:
-                stack.append((nxt, p + m, t + p, blocks + (m,)))
+        after = lattice_columns(states, min(n, N - p), cap)
+        for m in range(len(after), 0, -1):
+            stack.append((after[m - 1], p + m, t + p, blocks + (m,)))
     return KostkaResult(lam, QPoly(coeffs), strips)
 
 
@@ -378,8 +379,9 @@ def kostka_oracle(lam, n=None):
     these only a_(lam+delta) holds the monomial x^(lam+delta) (Macdonald,
     Symmetric Functions and Hall Polynomials, I.3).  Hence
         K_lam(q) = sum_w sgn(w) [x^(lam + delta - w(delta))] f,
-    read at the compositions of ``_signed_compositions``.  Nothing here
-    touches the strip formula.
+    read at the compositions of ``_signed_compositions`` at rank len(lam):
+    trailing zeros force their values and zero parts change no factor, so
+    no larger n adds a term.  Nothing here touches the strip formula.
     """
     if not isinstance(lam, Partition):
         lam = Partition(lam)
@@ -390,7 +392,7 @@ def kostka_oracle(lam, n=None):
         return QPoly()
     N = lam.size()
     out = {}
-    for sign, comp in _signed_compositions(lam, n):
+    for sign, comp in _signed_compositions(lam, max(lam.length(), 1)):
         for e, v in _rhs_coefficient(N, comp).c.items():
             out[e] = out.get(e, 0) + sign * v
     return QPoly(out)

@@ -16,7 +16,7 @@ merge, and the letters allowed under a pair of neighbours come in closed
 form from their ranks.  Its cost per cell is frontiers times letters, not
 fillings, and it recurses nowhere; the Schur and twisted characters are
 read off it.  The two counts, lattice fillings of a border strip
-(``count_LR``, a fold of ``lattice_column`` over its columns) and Kostka
+(``count_LR``, a fold of ``lattice_columns`` over its columns) and Kostka
 numbers (``kostka_numbers``), are exact integer dynamic programmes.  Their
 state lives only for the call: a Kostka memo is shared by the shapes of one
 call, which all have one content.  The moves of ``filling_sum`` are kept
@@ -318,19 +318,21 @@ def is_lattice_permutation(t):
     return True
 
 
-def lattice_column(states, m, cap):
-    """The ``count_LR`` states after one more column of ``m`` cells.
+def lattice_columns(states, top, cap):
+    """The ``count_LR`` states after a next column of each length 1..``top``.
 
     ``states`` maps (content placed so far, last letter placed) to the
     number of ways, with 0-based letters below ``len(cap)``.  Inside the
     column each letter sits above the next cell, which must exceed it; the
     top cell shares a row with the bottom of the column to its right, so it
-    may not exceed that letter.  Letters are capped by ``cap`` and by the
-    lattice rule #a <= #(a-1) on every prefix.  Each new state extends one
-    old state, so no states give no states.
+    may not exceed that letter; as no other cell reads it, a longer column
+    starts as a shorter one.  Letters are capped by ``cap`` and by the
+    lattice rule #a <= #(a-1) on every prefix.  A new state extends an old
+    one, so no states give none: the list ends before its first empty entry.
     """
     nletters = len(cap)
-    for i in range(m):
+    out = []
+    for i in range(top):
         nxt = {}
         for (counts, last), ways in states.items():
             for a in range(last + 1) if i == 0 else range(last + 1, nletters):
@@ -339,12 +341,15 @@ def lattice_column(states, m, cap):
                     continue
                 key = (counts[:a] + (k + 1,) + counts[a + 1:], a)
                 nxt[key] = nxt.get(key, 0) + ways
+        if not nxt:
+            break
+        out.append(nxt)
         states = nxt
-    return states
+    return out
 
 
 def lattice_start(cap):
-    """The ``lattice_column`` states of the empty strip: nothing placed,
+    """The ``lattice_columns`` states of the empty strip: nothing placed,
     and the first cell may take any letter."""
     return {((0,) * len(cap), len(cap) - 1): 1}
 
@@ -355,7 +360,7 @@ def count_LR(bs, content):
 
     A dynamic programme over the strip reading word, taken straight from
     ``bs.columns``: columns right to left, top to bottom inside a column,
-    one ``lattice_column`` step per column.
+    the last entry of one ``lattice_columns`` call per column.
     """
     if not isinstance(content, Partition):
         content = Partition(content)
@@ -363,7 +368,10 @@ def count_LR(bs, content):
         return 0
     states = lattice_start(content.parts)
     for m in bs.columns:
-        states = lattice_column(states, m, content.parts)
+        after = lattice_columns(states, m, content.parts)
+        if len(after) < m:
+            return 0
+        states = after[-1]
     return sum(states.values())
 
 

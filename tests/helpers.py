@@ -5,7 +5,12 @@ checked against it."""
 import functools
 from itertools import accumulate
 
-from ribbonchar.characters import kostka_rhs
+from ribbonchar.characters import (
+    KostkaResult,
+    _rhs_coefficient,
+    _signed_compositions,
+    kostka_rhs,
+)
 from ribbonchar.polyring import (
     DIGIT_BITS,
     QPoly,
@@ -16,13 +21,13 @@ from ribbonchar.polyring import (
     inverse_pochhammer_series,
 )
 from ribbonchar.schur import schur_enumerative, schur_jacobi_trudi, schur_strip_cached
-from ribbonchar.shapes import Partition, SkewDiagram
+from ribbonchar.shapes import BorderStrip, Partition, SkewDiagram
 from ribbonchar.spectra import (
     enumerate_Sp_N,
     excitation_energy,
     polychronakos_ground_energy,
 )
-from ribbonchar.tableaux import STANDARD, filling_sum, kostka_numbers
+from ribbonchar.tableaux import STANDARD, filling_sum, kostka_numbers, lattice_start
 from ribbonchar.twisted import t_character
 
 
@@ -102,6 +107,64 @@ def kostka_by_peel(lam, n=None):
         if mu == lam:
             return val
     return QPoly()
+
+
+def kostka_oracle_at_rank(lam, n):
+    """``characters.kostka_oracle`` summed over ``_signed_compositions`` at
+    rank n itself, lam padded with zeros to n parts.  The oracle of the
+    library's sum at rank len(lam)."""
+    if lam.length() > n:
+        return QPoly()
+    out = {}
+    for sign, comp in _signed_compositions(lam, n):
+        for e, v in _rhs_coefficient(lam.size(), comp).c.items():
+            out[e] = out.get(e, 0) + sign * v
+    return QPoly(out)
+
+
+def lattice_column(states, m, cap):
+    """The ``count_LR`` states after one more column of ``m`` cells, the
+    column stepped on its own from the top.  The oracle of
+    ``tableaux.lattice_columns``, whose entry m - 1 it is while that list
+    is longer than m - 1."""
+    nletters = len(cap)
+    for i in range(m):
+        nxt = {}
+        for (counts, last), ways in states.items():
+            for a in range(last + 1) if i == 0 else range(last + 1, nletters):
+                k = counts[a]
+                if k == cap[a] or (a and k == counts[a - 1]):
+                    continue
+                key = (counts[:a] + (k + 1,) + counts[a + 1:], a)
+                nxt[key] = nxt.get(key, 0) + ways
+        states = nxt
+    return states
+
+
+def kostka_foulkes_by_columns(lam, n=None):
+    """``characters.kostka_foulkes`` with one ``lattice_column`` call per
+    column length at every prefix, pruning the lengths that leave no
+    states.  The oracle of its shared column cells."""
+    if not isinstance(lam, Partition):
+        lam = Partition(lam)
+    least = max(lam.length(), 1)
+    n = least if n is None else min(n, least)
+    N, cap = lam.size(), lam.parts
+    strips = []
+    coeffs = {}
+    stack = [(lattice_start(cap), 0, 0, ())]
+    while stack:
+        states, p, t, blocks = stack.pop()
+        if p == N:
+            c = sum(states.values())
+            strips.append((BorderStrip(blocks), t, c))
+            coeffs[t] = coeffs.get(t, 0) + c
+            continue
+        for m in range(min(n, N - p), 0, -1):
+            nxt = lattice_column(states, m, cap)
+            if nxt:
+                stack.append((nxt, p + m, t + p, blocks + (m,)))
+    return KostkaResult(lam, QPoly(coeffs), strips)
 
 
 def a_exponent(N, m, ks):

@@ -48,6 +48,8 @@ from helpers import (
     A_split_contributions,
     at_q_one,
     kostka_by_peel,
+    kostka_foulkes_by_columns,
+    kostka_oracle_at_rank,
     schur_straight,
     symmetrized_series_by_product,
     z_vertex_by_strips,
@@ -678,6 +680,24 @@ def test_kostka_strips_match_composition_route():
                 assert list(kostka_foulkes(lam, n).strips) == want, (lam, n)
 
 
+def test_kostka_shares_column_cells_as_one_column_at_a_time():
+    # one lattice_columns call per prefix gives the polynomial and the audit
+    # list, in order, of one lattice_column step per column length
+    cases = [
+        (lam, n)
+        for N in range(9)
+        for lam in partitions_of(N)
+        for n in range(max(lam.length(), 1), max(lam.length(), 5) + 1)
+    ]
+    cases.append((Partition((4, 3, 2, 1)), 4))
+    for lam, n in cases:
+        got, want = kostka_foulkes(lam, n), kostka_foulkes_by_columns(lam, n)
+        assert got.polynomial == want.polynomial, (lam, n)
+        assert [(bs.columns, t, c) for bs, t, c in got.strips] == [
+            (bs.columns, t, c) for bs, t, c in want.strips
+        ], (lam, n)
+
+
 @st.composite
 def partitions_with_rank(draw):
     lam = draw(st.sampled_from(partitions_of(draw(st.integers(0, 11)))))
@@ -767,6 +787,14 @@ def test_kostka_oracle_is_rank_stable():
         assert kostka_oracle(lam, n) == base, n
     # trailing zeros force their values, so no rank adds a term
     assert len(list(_signed_compositions(lam, 12))) == len(list(_signed_compositions(lam, 3)))
+
+
+def test_kostka_oracle_at_rank_len_lam_equals_the_sum_at_rank_n():
+    # the library sums at rank len(lam) whatever n it is given
+    for N in range(9):
+        for lam in partitions_of(N):
+            for n in range(1, 7):
+                assert kostka_oracle(lam, n) == kostka_oracle_at_rank(lam, n), (lam, n)
 
 
 @pytest.mark.parametrize("n", [0, -1])

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from collections import OrderedDict
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -54,6 +55,21 @@ def test_kostka_command(capsys):
     ]
     assert doc["strip_count"] == 14
     assert doc["equal"] is True
+
+
+def test_kostka_at_a_large_rank_answers_as_at_rank_len_lam(capsys):
+    # both sides read the terms at rank len(lambda): summed at rank n, the
+    # bialternant took 10 s at --n 10000 and over a minute at 30000
+    started = time.perf_counter()
+    code, out, _ = run(capsys, "kostka", "--lambda", "3,2,1", "--n", "30000")
+    assert time.perf_counter() - started < 2.0
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["n"] == 30000
+    assert doc["equal"] is True
+    code, out, _ = run(capsys, "kostka", "--lambda", "3,2,1", "--n", "3")
+    assert code == 0
+    assert doc["polynomial"] == json.loads(out)["polynomial"]
 
 
 @pytest.mark.parametrize("n", ["2", "0", "-1"])

@@ -26,13 +26,15 @@ from ribbonchar.tableaux import (
     is_lattice_permutation,
     kostka_number,
     kostka_numbers,
-    lattice_column,
+    lattice_columns,
+    lattice_start,
     signed_alphabet,
     signed_pos,
     sst_from_gz,
     tableau_weight,
 )
 from ribbonchar.twisted import kappa_twisted, sL_determinant
+from helpers import lattice_column
 from wire import tableau_from_json, tableau_to_json
 
 
@@ -272,10 +274,35 @@ def test_kostka_numbers_share_one_memo_per_content():
     assert kostka_numbers([], (2, 1)) == []
 
 
-def test_lattice_column_keeps_no_states_empty():
+def test_lattice_columns_keep_no_states_empty():
     # the premise of the pruning in kostka_foulkes
-    for m in range(4):
-        assert lattice_column({}, m, (2, 1)) == {}
+    for top in range(4):
+        assert lattice_columns({}, top, (2, 1)) == []
+
+
+@st.composite
+def lattice_states_with_cap(draw):
+    """A cap of up to four letters and the states that random columns,
+    stepped one at a time, reach from ``lattice_start``."""
+    cap = tuple(sorted(draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)), reverse=True))
+    states = lattice_start(cap)
+    for m in draw(st.lists(st.integers(1, 4), max_size=4)):
+        states = lattice_column(states, m, cap)
+    return states, draw(st.integers(0, 5)), cap
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_states_with_cap())
+def test_lattice_columns_match_one_column_at_a_time(case):
+    states, top, cap = case
+    after = lattice_columns(states, top, cap)
+    for m in range(1, top + 1):
+        want = lattice_column(states, m, cap)
+        if m > len(after):
+            # the list stops exactly where one column first leaves nothing
+            assert want == {}, m
+            break
+        assert want and after[m - 1] == want, m
 
 
 @st.composite
