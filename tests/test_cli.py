@@ -347,6 +347,37 @@ COMMAND_LINES = [
 ]
 
 
+# length and sha256 of the stdout of each verify command line, with
+# wall_time_ms zeroed: the key order, report list, names and parameters
+VERIFY_BYTES = {
+    ("verify", "all"):
+        (3770, "7e9826d8296547a259b11804a8fa641312b56284b867bc847631eea250c0df8b"),
+    ("verify", "all", "--quick"):
+        (2779, "efece031b659bd2419942f689cc8c2be4f5f2806bb1df6901b9b5ce054426adb"),
+    ("verify", "rogers", "--n", "2", "--N", "4"):
+        (415, "dfa548ed76d3d6d022bd4ea21cbea5f3f2e17c01e620782e106c4e6c8b2e7b47"),
+    ("verify", "djkmo", "--n", "2", "--k", "0", "--order", "4"):
+        (530, "637ad6aada5292ae5d3e0640a2349a024a9022cd7f653a3b7656474c0f5646bb"),
+    ("verify", "polychronakos", "--n", "2", "--N", "4"):
+        (493, "0e7c158e40a7ad1d6311206adb74e18ad9a6082c420b3e4a65c3403c2eb9fbd8"),
+    ("twisted", "verify", "--n", "1", "--order", "3"):
+        (182, "5a7e1ad29342720cbecc104952fcc831c8c9f1f510119b2a87f81ba0877dbb19"),
+}
+
+
+def test_verify_bytes_cover_every_verify_command_line():
+    lines = {tuple(argv) for argv in COMMAND_LINES if "verify" in argv[:2]}
+    assert set(VERIFY_BYTES) == lines | {("verify", "all")}
+
+
+@pytest.mark.parametrize("argv", sorted(VERIFY_BYTES), ids=" ".join)
+def test_verify_output_bytes(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    text = re.sub(r'"wall_time_ms": \d+', '"wall_time_ms": 0', out).encode()
+    assert (len(text), hashlib.sha256(text).hexdigest()) == VERIFY_BYTES[argv]
+
+
 def parsed_by_argparse(argv):
     """``build_parser().parse_args(argv)``, or None where argparse exits
     (for help or a usage error); its printing is discarded."""
