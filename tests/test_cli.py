@@ -9,6 +9,7 @@ import time
 from collections import OrderedDict
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,8 +18,10 @@ from hypothesis import strategies as st
 import ribbonchar
 from ribbonchar import characters, cli
 from ribbonchar import schur as schur_module
+from ribbonchar import spectra as spectra_module
+from ribbonchar import twisted as twisted_module
 from ribbonchar.cli import dumps_indented, laurent_to_json, main
-from ribbonchar.polyring import QPoly, Ring, build_qseries
+from ribbonchar.polyring import QPoly, QSeries, Ring, build_qseries, qpoly_to_json
 from ribbonchar.shapes import BorderStrip, Partition
 from ribbonchar.spectra import SpectrumPoint, enumerate_Sp_N, enumerate_fiber, weight
 from wire import laurent_from_json, laurent_terms, qpoly_from_json
@@ -376,6 +379,106 @@ def test_verify_output_bytes(capsys, argv):
     assert (code, err) == (0, "")
     text = re.sub(r'"wall_time_ms": \d+', '"wall_time_ms": 0', out).encode()
     assert (len(text), hashlib.sha256(text).hexdigest()) == VERIFY_BYTES[argv]
+
+
+def plus_x1(value):
+    """``value`` plus x_1: at q^(offset + 1) in a series, the constant q^1
+    in a polynomial of q alone."""
+    if isinstance(value, QSeries):
+        extra = [(value.offset + 1, value.ring.gen(1))]
+        return value + build_qseries(value.ring, value.offset, value.order, extra)
+    if isinstance(value, QPoly):
+        return value + QPoly.term(1)
+    return value + value.ring.gen(1)
+
+
+def plus_x1_in_variant(which):
+    """A ``level1_decomposition`` fault: x_1 added to variant ``which`` alone."""
+    def fault(value, n, k, order, variant="a"):
+        if variant == "ab":
+            return tuple(plus_x1(v) if w == which else v for w, v in zip("ab", value))
+        return plus_x1(value) if variant == which else value
+    return fault
+
+
+def only_positive(value):
+    """Whether ``value`` is nonzero with positive coefficients only."""
+    if isinstance(value, QPoly):
+        pairs = qpoly_to_json(value)
+    else:
+        pairs = [pair for term in laurent_terms(value) for pair in term["q"]]
+    return bool(pairs) and all(int(c) > 0 for _e, c in pairs)
+
+
+def lifted(fault):
+    return lambda value, *args, **kwargs: fault(value)
+
+
+# each route that a verify report reads, with a fault that adds x_1 to its
+# value, and the side on which each report that reads it shows that term
+ROUTE_FAULTS = [
+    (characters, "F_N", lifted(plus_x1), {"strip_sum_equals_multinomial": "lhs"}),
+    (characters, "rogers_szego", lifted(plus_x1), {
+        "strip_sum_equals_multinomial": "rhs",
+        "multinomial_recursion": "rhs",
+        "reversed_multinomial_equals_strip_sum": "lhs",
+    }),
+    (characters, "rogers_szego_recursive", lifted(plus_x1), {"multinomial_recursion": "lhs"}),
+    (characters, "level1_decomposition", plus_x1_in_variant("a"),
+     {"strip_decomposition_a_equals_theta": "lhs"}),
+    (characters, "level1_decomposition", plus_x1_in_variant("b"),
+     {"strip_decomposition_b_equals_theta": "lhs"}),
+    (characters, "level1_theta", lifted(plus_x1), {
+        "strip_decomposition_a_equals_theta": "rhs",
+        "strip_decomposition_b_equals_theta": "rhs",
+    }),
+    (characters, "polychronakos_partition", lifted(plus_x1),
+     {"reversed_multinomial_equals_strip_sum": "lhs"}),
+    (spectra_module, "Z_vertex", lifted(plus_x1), {
+        "reversed_multinomial_equals_strip_sum": "rhs",
+        "strip_sum_equals_configuration_sum": "lhs",
+    }),
+    (spectra_module, "Z_vertex_direct", lifted(plus_x1),
+     {"strip_sum_equals_configuration_sum": "rhs"}),
+    (characters, "kostka_foulkes",
+     lifted(lambda result: SimpleNamespace(polynomial=plus_x1(result.polynomial))),
+     {"kostka_strip_sum_equals_extraction": "lhs"}),
+    (characters, "kostka_oracle", lifted(plus_x1), {"kostka_strip_sum_equals_extraction": "rhs"}),
+    (twisted_module, "twisted_decomposition", lifted(plus_x1),
+     {"pinned_strip_decomposition_equals_theta": "lhs"}),
+    (twisted_module, "twisted_level1_theta", lifted(plus_x1),
+     {"pinned_strip_decomposition_equals_theta": "rhs"}),
+]
+
+
+@pytest.mark.parametrize("module, name, fault, sides", ROUTE_FAULTS,
+                         ids=[f"{name}-{'/'.join(sides)}" for _m, name, _f, sides in ROUTE_FAULTS])
+def test_route_fault_shows_in_the_reports_that_read_it(capsys, monkeypatch, module, name,
+                                                       fault, sides):
+    # the golden bytes cannot see a swapped lhs and rhs while both sides are
+    # equal: a term added to one route must fail exactly the reports that
+    # read it, on the side that reads it
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: fault(real(*args, **kwargs),
+                                                                     *args, **kwargs))
+    seen = set()
+    for argv in COMMAND_LINES:
+        if "verify" not in argv[:2]:
+            continue
+        code, out, _ = run(capsys, *argv)
+        doc = json.loads(out)
+        checks = doc.get("checks", [doc])
+        reading = [c for c in checks if c["identity"] in sides]
+        assert code == (1 if reading else 0), argv
+        assert [c for c in checks if not c["equal"]] == reading, argv
+        for check in reading:
+            first = check["first_mismatch"]
+            read = laurent_from_json if isinstance(first["lhs"], dict) else qpoly_from_json
+            lhs, rhs = read(first["lhs"]), read(first["rhs"])
+            side = "lhs" if only_positive(lhs - rhs) else "rhs" if only_positive(rhs - lhs) else None
+            assert side == sides[check["identity"]], (argv, check["identity"])
+            seen.add(check["identity"])
+    assert seen == set(sides)
 
 
 def parsed_by_argparse(argv):
