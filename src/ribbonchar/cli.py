@@ -22,7 +22,7 @@ import math
 import os
 import sys
 import time
-from itertools import chain
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import characters, schur, shapes, spectra, twisted
@@ -82,6 +82,72 @@ def check_level1(n, order, k=0):
         raise UsageError(f"--k must be in 0..{n - 1} for n = {n}, got {k}")
     if order < 0:
         raise UsageError(f"--order must be nonnegative, got {order}")
+
+
+# Each family's generator yields (identity, lhs, rhs) per report.  It looks
+# its routes up as module attributes, so a patched or traced route is called.
+
+def _rogers(n, N):
+    lhs = characters.F_N(N, n)
+    rhs = characters.rogers_szego(N, n)
+    yield "strip_sum_equals_multinomial", lhs, rhs
+    yield "multinomial_recursion", characters.rogers_szego_recursive(N, n), rhs
+
+
+def _djkmo(n, k, order):
+    rhs = characters.level1_theta(n, k, order)
+    # both variants come from one strip search, so variant a's report
+    # times the theta series, both strip sums and its own comparison
+    pair = characters.level1_decomposition(n, k, order, "ab")
+    for variant, lhs in zip("ab", pair):
+        yield f"strip_decomposition_{variant}_equals_theta", lhs, rhs
+
+
+def _polychronakos(n, N):
+    lhs = characters.polychronakos_partition(N, n)
+    vertex = spectra.Z_vertex(N, n)
+    yield "reversed_multinomial_equals_strip_sum", lhs, vertex
+    yield "strip_sum_equals_configuration_sum", vertex, spectra.Z_vertex_direct(N, n)
+
+
+def _kostka(lam):
+    lam = Partition.from_str(lam)
+    lhs = characters.kostka_foulkes(lam).polynomial
+    yield "kostka_strip_sum_equals_extraction", lhs, characters.kostka_oracle(lam)
+
+
+def _twisted(n, order):
+    lhs = twisted.twisted_decomposition(n, order)
+    yield "pinned_strip_decomposition_equals_theta", lhs, twisted.twisted_level1_theta(n, order)
+
+
+# The identity checks, written once: per family its input check (called with
+# the parameters as keywords), its parameter names in order, its generator.
+IDENTITIES = {
+    "rogers": (check_rank, ("n", "N"), _rogers),
+    "djkmo": (check_level1, ("n", "k", "order"), _djkmo),
+    "polychronakos": (check_rank, ("n", "N"), _polychronakos),
+    "kostka": (None, ("lambda",), _kostka),
+    "twisted": (check_level1, ("n", "order"), _twisted),
+}
+
+
+def run_checks(plan, limit=None):
+    """The verification document of ``plan``, a list of (family, parameter
+    values): each family's inputs checked, then up to ``limit`` of its
+    reports.  Each report is timed from the end of the one before it."""
+    checks = []
+    started = time.perf_counter()
+    for family, values in plan:
+        check, names, generate = IDENTITIES[family]
+        parameters = dict(zip(names, values))
+        if check is not None:
+            check(**parameters)
+        for identity, lhs, rhs in islice(generate(*values), limit):
+            checks.append(report(identity, parameters, lhs, rhs, started))
+            started = time.perf_counter()
+    ok = all(c["equal"] for c in checks)
+    return (0 if ok else 1), {"checks": checks, "equal": ok}
 
 
 def parse_blocks(text):
@@ -229,100 +295,26 @@ def cmd_kostka(args):
 
 
 def cmd_verify(args):
-    checks = []
-    if args.what in ("rogers", "polychronakos"):
-        check_rank(args.n, args.N)
-    if args.what == "rogers":
-        started = time.perf_counter()
-        lhs = characters.F_N(args.N, args.n)
-        rhs = characters.rogers_szego(args.N, args.n)
-        checks.append(report("strip_sum_equals_multinomial", {"n": args.n, "N": args.N}, lhs, rhs, started))
-        started = time.perf_counter()
-        rec = characters.rogers_szego_recursive(args.N, args.n)
-        checks.append(report("multinomial_recursion", {"n": args.n, "N": args.N}, rec, rhs, started))
-    elif args.what == "djkmo":
-        check_level1(args.n, args.order, args.k)
-        started = time.perf_counter()
-        rhs = characters.level1_theta(args.n, args.k, args.order)
-        # both variants come from one strip search, so variant a's report
-        # times the theta series, both strip sums and its own comparison
-        pair = characters.level1_decomposition(args.n, args.k, args.order, "ab")
-        for variant, lhs in zip("ab", pair):
-            checks.append(
-                report(
-                    f"strip_decomposition_{variant}_equals_theta",
-                    {"n": args.n, "k": args.k, "order": args.order},
-                    lhs,
-                    rhs,
-                    started,
-                )
-            )
-            started = time.perf_counter()
-    elif args.what == "polychronakos":
-        started = time.perf_counter()
-        lhs = characters.polychronakos_partition(args.N, args.n)
-        rhs = spectra.Z_vertex(args.N, args.n)
-        checks.append(report("reversed_multinomial_equals_strip_sum", {"n": args.n, "N": args.N}, lhs, rhs, started))
-        started = time.perf_counter()
-        direct = spectra.Z_vertex_direct(args.N, args.n)
-        checks.append(report("strip_sum_equals_configuration_sum", {"n": args.n, "N": args.N},
-                             rhs, direct, started))
-    elif args.what == "all":
+    if args.what == "all":
         return verify_all(args)
-    else:
-        raise UsageError(f"unknown verification {args.what!r}")
-    ok = all(c["equal"] for c in checks)
-    return (0 if ok else 1), {"checks": checks, "equal": ok}
+    names = IDENTITIES[args.what][1]
+    return run_checks([(args.what, [getattr(args, name) for name in names])])
 
 
 def verify_all(args):
-    """Reduced verification matrix, sized to finish quickly."""
-    checks = []
-    order = 4 if args.quick else 6
-    nmax = 3 if args.quick else 4
-    for n in range(2, nmax + 1):
-        for k in range(n):
-            started = time.perf_counter()
-            lhs = characters.level1_decomposition(n, k, order, "a")
-            rhs = characters.level1_theta(n, k, order)
-            checks.append(report("strip_decomposition_a_equals_theta", {"n": n, "k": k, "order": order}, lhs, rhs, started))
-    for n in (2, 3):
-        N = 4 if args.quick else 6
-        started = time.perf_counter()
-        checks.append(report("strip_sum_equals_multinomial", {"n": n, "N": N},
-                             characters.F_N(N, n), characters.rogers_szego(N, n), started))
-        started = time.perf_counter()
-        checks.append(report("reversed_multinomial_equals_strip_sum", {"n": n, "N": N},
-                             characters.polychronakos_partition(N, n),
-                             spectra.Z_vertex(N, n), started))
-    started = time.perf_counter()
-    kres = characters.kostka_foulkes(Partition((3, 2, 1)))
-    checks.append(report("kostka_strip_sum_equals_extraction", {"lambda": "3,2,1"},
-                         kres.polynomial, characters.kostka_oracle(Partition((3, 2, 1))), started))
-    for n in (1, 2):
-        torder = 3 if args.quick else 5
-        started = time.perf_counter()
-        checks.append(report("pinned_strip_decomposition_equals_theta", {"n": n, "order": torder},
-                             twisted.twisted_decomposition(n, torder),
-                             twisted.twisted_level1_theta(n, torder), started))
-    ok = all(c["equal"] for c in checks)
-    return (0 if ok else 1), {"checks": checks, "equal": ok}
+    """Reduced verification matrix, sized to finish quickly: the first
+    report of each family."""
+    order, nmax, N, torder = (4, 3, 4, 3) if args.quick else (6, 4, 6, 5)
+    plan = [("djkmo", (n, k, order)) for n in range(2, nmax + 1) for k in range(n)]
+    plan += [(family, (n, N)) for n in (2, 3) for family in ("rogers", "polychronakos")]
+    plan += [("kostka", ("3,2,1",))] + [("twisted", (n, torder)) for n in (1, 2)]
+    return run_checks(plan, limit=1)
 
 
 def cmd_twisted(args):
     if args.twhat == "verify":
-        check_level1(args.n, args.order)
-        started = time.perf_counter()
-        lhs = twisted.twisted_decomposition(args.n, args.order)
-        rhs = twisted.twisted_level1_theta(args.n, args.order)
-        doc = report(
-            "pinned_strip_decomposition_equals_theta",
-            {"n": args.n, "order": args.order},
-            lhs,
-            rhs,
-            started,
-        )
-        return (0 if doc["equal"] else 1), doc
+        code, doc = run_checks([("twisted", (args.n, args.order))])
+        return code, doc["checks"][0]
     if args.twhat == "schur":
         check_rank(args.n)
         blocks = parse_blocks(args.h)
