@@ -11,7 +11,9 @@ function and its arguments as ``add_argument`` keywords.  ``build_parser``
 builds the argparse parser from it, and ``parse_direct`` reads a plain
 command line straight from it into the Namespace argparse would return.
 ``main`` tries the direct parse first and hands every other command line to
-argparse, which stays the only source of help text and usage errors.
+argparse, which stays the only source of help text and usage errors.  The
+verify commands build plans over a second table, ``IDENTITIES``, that
+``run_checks`` runs.
 """
 from __future__ import annotations
 
