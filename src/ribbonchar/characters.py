@@ -9,9 +9,11 @@ from fractions import Fraction
 from itertools import combinations
 
 from .polyring import (
+    Laurent,
     QPoly,
     QSeries,
     Ring,
+    _grown,
     build_qseries,
     check_order,
     gaussian_multinomial,
@@ -156,17 +158,26 @@ def decomposition_strips(n, cutoff, *residues):
             c += 1
 
 
+# q-free coefficients at q^(delta + j), j = 0, 1, ..., grown on demand: the
+# strip sums per (n, residue) and the theta's orbit sums per (n, k)
+_DECOMP_CACHE = {}
+_THETA_CACHE = {}
+
+
 def level1_decomposition(n, k, order, variant="a"):
     """Strip-sum form of the sector-k character, offset by the conformal
     dimension.  Variant "a" sums the strip Schur functions of residue k;
     variant "b" sums those of the complementary residue n-k and inverts the
     variables; "ab" returns the pair (a, b).
 
-    Both variants of "ab" come from one ``decomposition_strips`` search,
-    and each strip's Schur function is looked up once.  x -> 1/x is
-    additive, so b inverts its summed value once rather than each strip
-    Schur function; when k = n-k mod n the two residues coincide and b is
-    a's summed value inverted, nothing summed twice.
+    Residues k and n-k share the conformal dimension, so the strip sum at
+    q^(delta + j) is kept per (n, residue) and grown on demand: variant a
+    of sector k and variant b of sector n-k read one list.  One
+    ``decomposition_strips`` search fills the j that the asked residues do
+    not hold yet, and each strip's Schur function is looked up once.
+    x -> 1/x is additive, so b inverts its summed value once rather than
+    each strip Schur function; when k = n-k mod n the two residues coincide
+    and b is a's summed value inverted, nothing summed twice.
     """
     if not 0 <= k < n:
         raise ValueError("sector out of range")
@@ -175,15 +186,30 @@ def level1_decomposition(n, k, order, variant="a"):
     check_order(order)
     ring = Ring(n, relation=True)
     delta = conformal_dimension(n, k)
-    cutoff = delta + order
     a, b = k, (n - k) % n
-    residues = {"a": (a,), "b": (b,), "ab": (a, b)}[variant]
-    classes = {r: [] for r in residues}  # k = n-k mod n gives one class
-    for blocks, expo in decomposition_strips(n, cutoff, *classes):
-        classes[sum(blocks) % n].append(
-            (expo, _schur.schur_strip_cached(blocks, n, relation=True))
-        )
-    sums = {r: build_qseries(ring, delta, order, c) for r, c in classes.items()}
+    residues = list(dict.fromkeys({"a": (a,), "b": (b,), "ab": (a, b)}[variant]))
+
+    def fill(lows):
+        # a strip sits at delta + j with 0 <= delta - floor(delta) < 1, so
+        # j = floor(expo) - floor(delta); its Schur function is q-free, so
+        # each j sums the keys as held
+        low = dict(zip(residues, lows))
+        sums = {r: {} for r in residues}
+        for blocks, expo in decomposition_strips(n, delta + order,
+                                                 *(r for r in residues if low[r] <= order)):
+            r = sum(blocks) % n
+            j = int(expo) - int(delta)
+            if j >= low[r]:
+                acc = sums[r].setdefault(j, {})
+                get = acc.get
+                for key, c in _schur.schur_strip_cached(blocks, n, relation=True).terms.items():
+                    acc[key] = get(key, 0) + c
+        return [[Laurent._raw(ring, {key: c for key, c in sums[r].get(j, {}).items() if c})
+                 for j in range(low[r], order + 1)] for r in residues]
+
+    held = _grown(_DECOMP_CACHE, [(n, r) for r in residues], order, fill)
+    sums = {r: build_qseries(ring, delta, order, ((delta + j, c) for j, c in enumerate(cs)))
+            for r, cs in zip(residues, held)}
     if variant == "a":
         return sums[a]
     inverted = QSeries(delta, sums[b].value.subs_x_inverse(), order)
@@ -200,11 +226,12 @@ def level1_theta(n, k, order):
         P(a) = n * sum a_i^2 - s^2 = sum_{i<j} (a_i - a_j)^2.
 
     s and P are symmetric, so the search lists one vector per S_n-orbit,
-    the non-increasing one, whose last entry is its minimum 0.
-    ``symmetrized_series`` writes the orbits of one exponent, as their
-    distinct permutations times the inverse-q-factorial denominator,
-    straight into the window.  Distinct vectors with minimum 0 are distinct
-    monomials under the relation, so no two exponents share a monomial.
+    the non-increasing one, whose last entry is its minimum 0.  The orbits
+    of one exponent, as their distinct permutations (``Ring.symmetrized``),
+    are kept per (n, k) and grown on demand; ``symmetrized_series`` writes
+    them times the inverse-q-factorial denominator straight into the
+    window.  Distinct vectors with minimum 0 are distinct monomials under
+    the relation, so no two exponents share a monomial.
 
     The search is complete.  Every vector in the window has P <= cap with
     cap = floor(2n * cutoff).  Let P_i and s_i be the pairwise sum and the
@@ -223,35 +250,40 @@ def level1_theta(n, k, order):
     check_order(order)
     ring = Ring(n, relation=True)
     delta = conformal_dimension(n, k)
-    cutoff = delta + order
     two_n = 2 * n
-    cap = math.floor(two_n * cutoff)
-    orbits = {}
-    # one frame per entry of the prefix: i entries fixed, with sum s, sum of
-    # squares and pairwise sum, and the next x to try; a new entry is tried
-    # from the one before it down, and the last entry is 0
-    prefix, frames = [], []
-    i = s = squares = pairs = 0
-    x = math.isqrt(max(cap, 0))
-    while True:
-        if i < n - 1 and x >= 0:
-            total = pairs + squares - 2 * s * x + i * x * x
-            if n * total <= (i + 1) * cap:
-                frames.append((i, s, squares, pairs, x - 1))
-                prefix.append(x)
-                i, s, squares, pairs = i + 1, s + x, squares + x * x, total
-                continue
-        elif i == n - 1 and s % n == k and pairs + squares <= cap:
-            orbits.setdefault(pairs + squares, []).append((*(2 * y for y in prefix), 0))
-        if not frames:
-            break
-        i, s, squares, pairs, x = frames.pop()
-        prefix.pop()
-    # the class of P sits at q^(P / 2n) = q^(delta + j), j = (P - k(n - k)) / 2n
-    # exactly: P = s(n - s) mod 2n, and s(n - s) = k(n - k) mod 2n for s = k mod n
-    return symmetrized_series(ring, delta, order, (
-        ((pairs - k * (n - k)) // two_n, reps) for pairs, reps in orbits.items()
-    ), n - 1)
+
+    def fill(lows):
+        (lo,) = lows
+        cap = math.floor(two_n * (delta + order))
+        # the class of P sits at q^(P / 2n) = q^(delta + j), j = (P - k(n - k)) / 2n
+        # exactly: P = s(n - s) mod 2n, and s(n - s) = k(n - k) mod 2n for s = k mod n
+        orbits = {}
+        # one frame per entry of the prefix: i entries fixed, with sum s, sum
+        # of squares and pairwise sum, and the next x to try; a new entry is
+        # tried from the one before it down, and the last entry is 0
+        prefix, frames = [], []
+        i = s = squares = pairs = 0
+        x = math.isqrt(max(cap, 0))
+        while True:
+            if i < n - 1 and x >= 0:
+                total = pairs + squares - 2 * s * x + i * x * x
+                if n * total <= (i + 1) * cap:
+                    frames.append((i, s, squares, pairs, x - 1))
+                    prefix.append(x)
+                    i, s, squares, pairs = i + 1, s + x, squares + x * x, total
+                    continue
+            elif i == n - 1 and s % n == k and pairs + squares <= cap:
+                j = (pairs + squares - k * (n - k)) // two_n
+                if j >= lo:
+                    orbits.setdefault(j, []).append((*(2 * y for y in prefix), 0))
+            if not frames:
+                break
+            i, s, squares, pairs, x = frames.pop()
+            prefix.pop()
+        return [[ring.symmetrized(orbits.get(j, ())) for j in range(lo, order + 1)]]
+
+    (held,) = _grown(_THETA_CACHE, [(n, k)], order, fill)
+    return symmetrized_series(ring, delta, order, enumerate(held), n - 1)
 
 
 def polychronakos_partition(N, n, relation=False):
@@ -315,7 +347,7 @@ def kostka_foulkes(lam, n=None):
         states, p, t, blocks = stack.pop()
         if p == N:
             c = sum(states.values())
-            strips.append((BorderStrip(blocks), t, c))
+            strips.append((BorderStrip._raw(blocks), t, c))
             coeffs[t] = coeffs.get(t, 0) + c
             continue
         after = lattice_columns(states, min(n, N - p), cap)

@@ -1004,6 +1004,23 @@ def build_qseries(ring, offset, order, contributions):
     return QSeries(offset, Laurent._raw(ring, {k: c for k, c in acc.items() if c}), order)
 
 
+def _grown(memo, keys, order, fill):
+    """``memo[key][:order + 1]`` for each key: lists of the q-free
+    coefficients of a series at q^(offset + j), j = 0, 1, ...
+
+    Such a coefficient does not depend on the truncation order, so a list
+    is kept and only extended.  When one is shorter than order + 1,
+    ``fill(lows)`` gets the number each list holds and returns, per key,
+    the coefficients from there to the order (none for a list that is long
+    enough).  Nothing is stored unless ``fill`` returns.
+    """
+    lows = [len(memo.setdefault(key, [])) for key in keys]
+    if min(lows) <= order:
+        for key, more in zip(keys, fill(lows)):
+            memo[key].extend(more)
+    return [memo[key][: order + 1] for key in keys]
+
+
 def qpoly_to_json(p):
     """Ascending [exponent, coefficient] pairs."""
     return [[e, c] for e, c in p.pairs()]
@@ -1088,8 +1105,9 @@ def inverse_pochhammer_series(ring, power, order):
 
 
 def symmetrized_series(ring, offset, order, classes, power):
-    """q**offset sum_j q**j ``ring.symmetrized(vecs)`` over the (j, vecs)
-    classes, times ``inverse_pochhammer_series(ring, power, order)``.
+    """q**offset sum_j q**j value over the (j, value) classes of q-free
+    values, such as the orbit sums ``ring.symmetrized(vecs)``, times
+    ``inverse_pochhammer_series(ring, power, order)``.
 
     The product is written straight into one term dict: the class at j
     puts each of its keys k at k + j + f with the coefficient p_f of the
@@ -1102,10 +1120,10 @@ def symmetrized_series(ring, offset, order, classes, power):
     coeffs = inverse_pochhammer_coefficients(power, order)
     out = {}
     stored = 0
-    for j, vecs in classes:
+    for j, value in classes:
         if not 0 <= j <= order:
             raise ValueError(f"class exponent {j} not in 0..{order}")
-        items = ring.symmetrized(vecs).terms.items()
+        items = value.terms.items()
         for f in range(order - j + 1):
             p = coeffs[f]
             if p:

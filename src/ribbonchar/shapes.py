@@ -201,6 +201,13 @@ class BorderStrip:
         self.columns = columns
 
     @classmethod
+    def _raw(cls, columns):
+        """The strip of a tuple of columns known to be positive, unchecked."""
+        strip = object.__new__(cls)
+        strip.columns = columns
+        return strip
+
+    @classmethod
     def from_str(cls, text):
         text = text.strip()
         if not (text.startswith("<") and text.endswith(">")):

@@ -8,11 +8,13 @@ import math
 from functools import partial
 
 from .polyring import (
+    QSeries,
     Ring,
+    _grown,
     build_qseries,
     check_order,
     elementary_symmetric,
-    inverse_pochhammer_series,
+    symmetrized_series,
 )
 from .schur import _strip_expansion
 from .shapes import BorderStrip, block_bits, blocks_from_ones
@@ -233,15 +235,23 @@ def twisted_strips(order):
             m += 1
 
 
-def _strip_sum(n, order, character):
-    """Sum of q^t(blocks) character(blocks) over the strip window."""
+def _strip_sum(n, low, order, character):
+    """Sum of q^t(blocks) character(blocks) over the strips with
+    low <= t <= order, as a series at offset low."""
     check_order(order)
     return build_qseries(
         Ring(n, relation=False),
-        0,
-        order,
-        ((twisted_t_statistic(blocks), character(blocks)) for blocks in twisted_strips(order)),
+        low,
+        order - low,
+        ((t, character(blocks)) for blocks in twisted_strips(order)
+         if (t := twisted_t_statistic(blocks)) >= low),
     )
+
+
+# q-free coefficients at q^j, j = 0, 1, ..., per n: sigma times the strip
+# sum, grown on demand, and the lattice numerator to the highest order asked
+_TWISTED_DECOMP_CACHE = {}
+_TWISTED_THETA_CACHE = {}
 
 
 def twisted_decomposition(n, order):
@@ -249,9 +259,19 @@ def twisted_decomposition(n, order):
 
     Every strip's ``sL_determinant`` carries the same q-free factor sigma,
     so the strips' q^t times determinant are summed first and the series is
-    multiplied by ``sigma_character`` once.
+    multiplied by ``sigma_character`` once.  The coefficient at q^j, sigma
+    times the sum over t(blocks) = j, is kept per n and grown on demand.
     """
-    return _strip_sum(n, order, partial(_t_determinant, n=n)) * sigma_character(n)
+    check_order(order)
+    ring = Ring(n, relation=False)
+
+    def fill(lows):
+        (lo,) = lows
+        return [(_strip_sum(n, lo, order, partial(_t_determinant, n=n))
+                 * sigma_character(n)).coeffs]
+
+    (held,) = _grown(_TWISTED_DECOMP_CACHE, [n], order, fill)
+    return build_qseries(ring, 0, order, enumerate(held))
 
 
 def twisted_character_brute(n, order):
@@ -263,7 +283,7 @@ def twisted_character_brute(n, order):
     (``chi_twisted(..., method="fiber")``), which reads only the local
     energy.
     """
-    return _strip_sum(n, order, partial(chi_twisted, n=n, method="fiber"))
+    return _strip_sum(n, 0, order, partial(chi_twisted, n=n, method="fiber"))
 
 
 def twisted_level1_theta(n, order):
@@ -274,23 +294,35 @@ def twisted_level1_theta(n, order):
     prod_i sum_g q^(g(g+1)/2) x_i^(g+1/2) of n one-variable series:
     expanding the product picks one g per coordinate, which is one gamma,
     with exponent and monomial the sum and the product of its factors'.
-    The denominator series and every factor have nonnegative q exponents,
-    so a term of degree at most the order takes only factor terms of
-    degree at most the order, and truncating each factor and each partial
-    product there drops nothing the window keeps.  g(g+1)/2 is symmetric
-    under g -> -1-g and grows in g >= 0, so each factor runs over g in
-    [-1-top, top], top the largest g >= 0 with g(g+1)/2 <= order.
+    Every factor has nonnegative q exponents, so a term of degree at most
+    the order takes only factor terms of degree at most the order, and
+    truncating each factor and each partial product there drops nothing
+    the window keeps.  g(g+1)/2 is symmetric under g -> -1-g and grows in
+    g >= 0, so each factor runs over g in [-1-top, top], top the largest
+    g >= 0 with g(g+1)/2 <= order.
+
+    So no coefficient of the numerator depends on the order.  The product
+    has no step from one order to the next, so its coefficients are kept
+    per n from the highest order computed, and a higher order recomputes
+    them.  Distinct gamma are distinct monomials, so ``symmetrized_series``
+    writes them times the denominator straight into the window.
     """
     check_order(order)
     ring = Ring(n, relation=False)
-    top = 0
-    while (top + 1) * (top + 2) // 2 <= order:
-        top += 1
-    series = inverse_pochhammer_series(ring, n, order)
-    for i in range(n):
-        series = series * build_qseries(ring, 0, order, (
-            (g * (g + 1) // 2,
-             ring.monomial(tuple(2 * g + 1 if j == i else 0 for j in range(n))))
-            for g in range(-1 - top, top + 1)
-        ))
-    return series
+
+    def fill(lows):
+        (lo,) = lows
+        top = 0
+        while (top + 1) * (top + 2) // 2 <= order:
+            top += 1
+        numerator = QSeries(0, ring.one(), order)
+        for i in range(n):
+            numerator = numerator * build_qseries(ring, 0, order, (
+                (g * (g + 1) // 2,
+                 ring.monomial(tuple(2 * g + 1 if j == i else 0 for j in range(n))))
+                for g in range(-1 - top, top + 1)
+            ))
+        return [numerator.coeffs[lo:]]
+
+    (held,) = _grown(_TWISTED_THETA_CACHE, [n], order, fill)
+    return symmetrized_series(ring, 0, order, enumerate(held), n)

@@ -276,8 +276,8 @@ def t_determinant_by_matrix(blocks, n):
 
 
 def symmetrized_series_by_product(ring, offset, order, classes, power):
-    """``symmetrized_series`` as two series: the symmetrized classes summed
+    """``symmetrized_series`` as two series: the classes' orbit sums summed
     by ``build_qseries``, times ``inverse_pochhammer_series``."""
     numerator = build_qseries(ring, offset, order, (
-        (offset + j, ring.symmetrized(vecs)) for j, vecs in classes))
+        (offset + j, value) for j, value in classes))
     return numerator * inverse_pochhammer_series(ring, power, order)

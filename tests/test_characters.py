@@ -303,6 +303,10 @@ def test_pair_equals_the_single_variants(monkeypatch):
     # decomposition looks up is scaled by 1 + its residue: a pair whose b
     # summed a's strips, or the reverse, no longer matches the single calls.
     # k = 0 and k = n/2 are self-dual: there b is a's summed value inverted.
+    # Each call starts from an empty strip-sum memo of this test's own, so
+    # the single calls search again and the scaled sums end with the test.
+    monkeypatch.setattr(characters, "_DECOMP_CACHE", {})
+    memo = characters._DECOMP_CACHE
     real = schur_module.schur_strip_cached
     depth = 0
 
@@ -319,8 +323,11 @@ def test_pair_equals_the_single_variants(monkeypatch):
     for n in range(1, 6):
         for k in range(n):
             for order in range(6):
+                memo.clear()
                 a, b = level1_decomposition(n, k, order, "ab")
+                memo.clear()
                 assert a == level1_decomposition(n, k, order, "a"), (n, k, order)
+                memo.clear()
                 assert b == level1_decomposition(n, k, order, "b"), (n, k, order)
                 assert (a == b) == (2 * k % n == 0), (n, k, order)
 
@@ -485,8 +492,9 @@ def test_orbit_theta_matches_coordinate_search(n):
 
 def test_theta_expansion_matches_product_oracle(monkeypatch):
     # the orbit search as it is, with its classes summed and multiplied by
-    # the inverse Pochhammer series as two series
+    # the inverse Pochhammer series as two series, from an empty orbit memo
     windows = [(n, k, order) for n in range(1, 7) for k in range(n) for order in range(7)]
+    monkeypatch.setattr(characters, "_THETA_CACHE", {})
     with monkeypatch.context() as patch:
         patch.setattr(characters, "symmetrized_series", symmetrized_series_by_product)
         expected = [level1_theta(*window) for window in windows]
@@ -494,7 +502,7 @@ def test_theta_expansion_matches_product_oracle(monkeypatch):
         assert level1_theta(*window) == theta, window
     # classes that share a monomial are refused, not written over each other
     ring = Ring(2, relation=True)
-    classes = [(0, [(2, 0)]), (1, [(0, 2)])]
+    classes = [(0, ring.symmetrized([(2, 0)])), (1, ring.symmetrized([(0, 2)]))]
     summed = symmetrized_series_by_product(ring, 0, 3, classes, 1)
     assert summed.coeffs[1].coeff((0, 2)) == QPoly.const(2)
     with pytest.raises(ValueError, match="share a monomial"):
