@@ -194,17 +194,17 @@ def level1_decomposition(n, k, order, variant="a"):
         # j = floor(expo) - floor(delta); its Schur function is q-free, so
         # each j sums the keys as held
         low = dict(zip(residues, lows))
-        sums = {r: {} for r in residues}
+        found = {r: {} for r in residues}
         for blocks, expo in decomposition_strips(n, delta + order,
                                                  *(r for r in residues if low[r] <= order)):
             r = sum(blocks) % n
             j = int(expo) - int(delta)
             if j >= low[r]:
-                acc = sums[r].setdefault(j, {})
+                acc = found[r].setdefault(j, {})
                 get = acc.get
                 for key, c in _schur.schur_strip_cached(blocks, n, relation=True).terms.items():
                     acc[key] = get(key, 0) + c
-        return [[Laurent._raw(ring, {key: c for key, c in sums[r].get(j, {}).items() if c})
+        return [[Laurent._raw(ring, {key: c for key, c in found[r].get(j, {}).items() if c})
                  for j in range(low[r], order + 1)] for r in residues]
 
     held = _grown(_DECOMP_CACHE, [(n, r) for r in residues], order, fill)
