@@ -381,6 +381,34 @@ def test_verify_output_bytes(capsys, argv):
     assert (len(text), hashlib.sha256(text).hexdigest()) == VERIFY_BYTES[argv]
 
 
+# the same for decompose, whose series values the perfbench digests pin only
+# through the equal flags of verify djkmo: ranks 2..5, both variants
+DECOMPOSE_BYTES = {
+    ("decompose", "--n", "2", "--k", "1", "--order", "6"):
+        (4741, "dce922862ef303da682d031c29959c97cc07f2fb754c06e96dfbb55c58f04342"),
+    ("decompose", "--n", "3", "--k", "0", "--order", "6", "--variant", "b"):
+        (16127, "5fc5075da624143bbac8147ed6fafdb91681175fbd6d1b9feb34f05457e319e7"),
+    ("decompose", "--n", "3", "--k", "2", "--order", "5", "--pretty"):
+        (14570, "7c4c4ff1198abb0217466b65993c5c4cb2ae39245c50317431328a329d78b268"),
+    ("decompose", "--n", "4", "--k", "1", "--order", "5", "--variant", "b"):
+        (48567, "3c7a89fa16f8b5ef6906b630f3d275e66f7bc656b9fec9fabe2fea55ae0a9c76"),
+    ("decompose", "--n", "4", "--k", "2", "--order", "4"):
+        (33243, "638350d4cf2cf2559f0a754c0db8863cbd90a2bbd13c208fa14e5290676cd3ce"),
+    ("decompose", "--n", "5", "--k", "0", "--order", "5"):
+        (140015, "1d9e99d684fa6112c5f814356614f91d4df5aa452ae1324dfcc37d875d16562b"),
+    ("decompose", "--n", "5", "--k", "3", "--order", "4", "--variant", "b"):
+        (110569, "00e08474a47428455a8610bb6efa0c9616830a7f5a0ab3e5071bf65b219fcd58"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(DECOMPOSE_BYTES), ids=" ".join)
+def test_decompose_output_bytes(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    text = re.sub(r'"wall_time_ms": \d+', '"wall_time_ms": 0', out).encode()
+    assert (len(text), hashlib.sha256(text).hexdigest()) == DECOMPOSE_BYTES[argv]
+
+
 def plus_x1(value):
     """``value`` plus x_1: at q^(offset + 1) in a series, the constant q^1
     in a polynomial of q alone."""
