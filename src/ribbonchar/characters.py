@@ -174,10 +174,17 @@ def level1_decomposition(n, k, order, variant="a"):
     q^(delta + j) is kept per (n, residue) and grown on demand: variant a
     of sector k and variant b of sector n-k read one list.  One
     ``decomposition_strips`` search fills the j that the asked residues do
-    not hold yet, and each strip's Schur function is looked up once.
-    x -> 1/x is additive, so b inverts its summed value once rather than
-    each strip Schur function; when k = n-k mod n the two residues coincide
-    and b is a's summed value inverted, nothing summed twice.
+    not hold yet.  No strip's own Schur function is built: by the first-row
+    expansion of ``schur._strip_expansion``,
+
+        s(m_1..m_r) = sum_i (-1)^(i+1) e_t s(m_1..m_{r-i}),  t = m_r+...+m_{r-i+1} <= n,
+
+    so each (residue, j) class adds its strips' signed prefix Schur
+    functions per t and is one ``laurent_dot`` of e_t with those sums; the
+    empty strip is e_0 times 1.  x -> 1/x is additive, so b inverts its
+    summed value once rather than each strip Schur function; when
+    k = n-k mod n the two residues coincide and b is a's summed value
+    inverted, nothing summed twice.
     """
     if not 0 <= k < n:
         raise ValueError("sector out of range")
@@ -191,20 +198,33 @@ def level1_decomposition(n, k, order, variant="a"):
 
     def fill(lows):
         # a strip sits at delta + j with 0 <= delta - floor(delta) < 1, so
-        # j = floor(expo) - floor(delta); its Schur function is q-free, so
-        # each j sums the keys as held
+        # j = floor(expo) - floor(delta); prefix Schur functions are q-free,
+        # so each (j, t) sums the keys as held
         low = dict(zip(residues, lows))
         found = {r: {} for r in residues}
         for blocks, expo in decomposition_strips(n, delta + order,
                                                  *(r for r in residues if low[r] <= order)):
             r = sum(blocks) % n
             j = int(expo) - int(delta)
-            if j >= low[r]:
-                acc = found[r].setdefault(j, {})
+            if j < low[r]:
+                continue
+            groups = found[r].setdefault(j, {})
+            if not blocks:
+                groups[0] = dict(ring.one().terms)
+            t, sign = 0, 1
+            for cut in range(len(blocks) - 1, -1, -1):
+                t += blocks[cut]
+                if t > n:
+                    break
+                prefix = _schur.schur_strip_cached(blocks[:cut], n, relation=True)
+                acc = groups.setdefault(t, {})
                 get = acc.get
-                for key, c in _schur.schur_strip_cached(blocks, n, relation=True).terms.items():
-                    acc[key] = get(key, 0) + c
-        return [[Laurent._raw(ring, {key: c for key, c in found[r].get(j, {}).items() if c})
+                for key, c in prefix.terms.items():
+                    acc[key] = get(key, 0) + sign * c
+                sign = -sign
+        return [[laurent_dot(ring, [(1, _schur.e_m(ring, t),
+                                     Laurent._raw(ring, {key: c for key, c in acc.items() if c}))
+                                    for t, acc in found[r].get(j, {}).items()])
                  for j in range(low[r], order + 1)] for r in residues]
 
     held = _grown(_DECOMP_CACHE, [(n, r) for r in residues], order, fill)

@@ -9,11 +9,14 @@ from ribbonchar.characters import (
     KostkaResult,
     _rhs_coefficient,
     _signed_compositions,
+    conformal_dimension,
+    decomposition_strips,
     kostka_rhs,
 )
 from ribbonchar.polyring import (
     DIGIT_BITS,
     QPoly,
+    QSeries,
     Ring,
     RingContextError,
     build_qseries,
@@ -259,6 +262,27 @@ def z_vertex_by_strips(N, n, relation=False):
         (excitation_energy(blocks, n), schur_strip_cached(blocks, n, relation))
         for blocks in enumerate_Sp_N(N, n)
     ))
+
+
+def level1_decomposition_by_strips(n, k, order, variant="a"):
+    """The strip-sum form of the sector-k character strip by strip, with no
+    memo: each strip's ``schur_strip_cached`` at its exponent, variant b
+    from residue n-k with the variables inverted.  The oracle of the fill of
+    ``characters.level1_decomposition``, which sums e_t times the strips'
+    prefix Schur functions instead."""
+    ring = Ring(n, relation=True)
+    delta = conformal_dimension(n, k)
+
+    def strip_sum(residue):
+        return build_qseries(ring, delta, order, (
+            (expo, schur_strip_cached(blocks, n, relation=True))
+            for blocks, expo in decomposition_strips(n, delta + order, residue)
+        ))
+
+    if variant == "a":
+        return strip_sum(k)
+    b = QSeries(delta, strip_sum(n - k).value.subs_x_inverse(), order)
+    return b if variant == "b" else (strip_sum(k), b)
 
 
 def t_determinant_by_matrix(blocks, n):

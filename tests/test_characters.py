@@ -299,27 +299,25 @@ def test_variants_agree():
 
 
 def test_pair_equals_the_single_variants(monkeypatch):
-    # The two variants are equal series, so each strip Schur function the
-    # decomposition looks up is scaled by 1 + its residue: a pair whose b
-    # summed a's strips, or the reverse, no longer matches the single calls.
+    # The two variants are equal series, so each (residue, j) class the
+    # decomposition sums is scaled by 1 + its residue: a pair whose b summed
+    # a's strips, or the reverse, no longer matches the single calls.  The
+    # class is the one ``laurent_dot`` of the fill, and its residue is the
+    # degree mod n of any of its monomials, which the relation keeps.
     # k = 0 and k = n/2 are self-dual: there b is a's summed value inverted.
     # Each call starts from an empty strip-sum memo of this test's own, so
     # the single calls search again and the scaled sums end with the test.
     monkeypatch.setattr(characters, "_DECOMP_CACHE", {})
     memo = characters._DECOMP_CACHE
-    real = schur_module.schur_strip_cached
-    depth = 0
+    real = characters.laurent_dot
 
-    def scaled(blocks, n, relation=False):
-        nonlocal depth
-        depth += 1
-        try:
-            value = real(blocks, n, relation)
-        finally:
-            depth -= 1
-        return value if depth else value * (1 + sum(blocks) % n)
+    def scaled(ring, products):
+        value = real(ring, products)
+        residues = {sum(vec) // 2 % ring.n for vec, _c in value.sorted_terms()}
+        assert len(residues) <= 1, residues
+        return value * (1 + min(residues, default=0))
 
-    monkeypatch.setattr(schur_module, "schur_strip_cached", scaled)
+    monkeypatch.setattr(characters, "laurent_dot", scaled)
     for n in range(1, 6):
         for k in range(n):
             for order in range(6):

@@ -6,9 +6,10 @@ import random
 
 import pytest
 
-from ribbonchar import characters, twisted
+from ribbonchar import characters, schur, twisted
 from ribbonchar.characters import level1_decomposition, level1_theta
 from ribbonchar.twisted import twisted_decomposition, twisted_level1_theta
+from helpers import level1_decomposition_by_strips
 
 MEMOS = [(characters, "_DECOMP_CACHE"), (characters, "_THETA_CACHE"),
          (twisted, "_TWISTED_DECOMP_CACHE"), (twisted, "_TWISTED_THETA_CACHE")]
@@ -72,6 +73,19 @@ def test_level1_memos_equal_a_cold_computation(empty_memos):
             variant = ("a", "b", "ab")[i % 3]
             got = level1_decomposition(*window, variant)
             assert got == {"a": a, "b": b, "ab": (a, b)}[variant], (window, variant)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_fill_by_last_column_groups_equals_the_fill_by_strips(empty_memos, monkeypatch, n):
+    # every window from empty memos, the prefix Schur memo included, so the
+    # fill looks up prefixes that no strip of an earlier window has held
+    for k in range(n):
+        for order in range(7 if n < 5 else 6):
+            for variant in ("a", "b", "ab"):
+                expected = level1_decomposition_by_strips(n, k, order, variant)
+                monkeypatch.setattr(schur, "_STRIP_CACHE", {})
+                got = cold(empty_memos, level1_decomposition, n, k, order, variant)
+                assert got == expected, (n, k, order, variant)
 
 
 def test_twisted_memos_equal_a_cold_computation(empty_memos):
