@@ -99,18 +99,19 @@ def conformal_dimension(n, k):
     return Fraction(k * (n - k), 2 * n)
 
 
-def decomposition_strips(n, cutoff, *residues):
-    """Yield (blocks, exponent) for every strip with exponent <= cutoff whose
-    size is congruent mod n to one of ``residues``.
+def decomposition_strips(n, cap, *residues):
+    """Yield (blocks, F) for every strip with F <= cap whose size is
+    congruent mod n to one of ``residues``.
 
     Strips have columns m_1..m_r in 1..n with the final column at most n-1;
-    the empty strip has size 0 and exponent 0.  With prefix sums p_j a strip
+    the empty strip has size 0 and F = 0.  With prefix sums p_j a strip
     sits at exponent F / (2n), where
 
         F = 2n * sum_{j<r} p_j + p_r (n - p_r),
 
-    so the search runs over columns in integers against
-    cap = floor(2n * cutoff), and builds a Fraction only for emitted strips.
+    so the search runs over columns in integers.  A strip of residue r has
+    F = r(n - r) mod 2n, so F = k(n - k) + 2n j for sector k's strip at
+    q^(delta + j), and cap = k(n - k) + 2n order bounds j by the order.
 
     One depth-first search serves every residue class: the pruning below
     does not read the residue, so each class comes out in the order a
@@ -133,9 +134,8 @@ def decomposition_strips(n, cutoff, *residues):
     """
     wanted = {r % n for r in residues}
     two_n = 2 * n
-    cap = math.floor(two_n * Fraction(cutoff))
     if cap >= 0 and 0 in wanted:
-        yield (), Fraction(0)
+        yield (), 0
     # one frame per column of the prefix: the S and p before it
     prefix, frames = [], []
     S, p, c = 0, 0, 1
@@ -148,7 +148,7 @@ def decomposition_strips(n, cutoff, *residues):
         if c < n and q % n in wanted:
             F = two_n * S + q * (n - q)
             if F <= cap:
-                yield (*prefix, c), Fraction(F, two_n)
+                yield (*prefix, c), F
         T = S + q
         if two_n * T + (q + n - 1) * (1 - q) <= cap:
             frames.append((S, p))
@@ -193,19 +193,19 @@ def level1_decomposition(n, k, order, variant="a"):
     check_order(order)
     ring = Ring(n, relation=True)
     delta = conformal_dimension(n, k)
+    base, two_n = k * (n - k), 2 * n
     a, b = k, (n - k) % n
     residues = list(dict.fromkeys({"a": (a,), "b": (b,), "ab": (a, b)}[variant]))
 
     def fill(lows):
-        # a strip sits at delta + j with 0 <= delta - floor(delta) < 1, so
-        # j = floor(expo) - floor(delta); prefix Schur functions are q-free,
-        # so each (j, t) sums the keys as held
+        # a strip of either residue sits at F = k(n - k) + 2n j; prefix Schur
+        # functions are q-free, so each (j, t) sums the keys as held
         low = dict(zip(residues, lows))
         found = {r: {} for r in residues}
-        for blocks, expo in decomposition_strips(n, delta + order,
-                                                 *(r for r in residues if low[r] <= order)):
+        for blocks, F in decomposition_strips(n, base + two_n * order,
+                                              *(r for r in residues if low[r] <= order)):
             r = sum(blocks) % n
-            j = int(expo) - int(delta)
+            j = (F - base) // two_n
             if j < low[r]:
                 continue
             groups = found[r].setdefault(j, {})
@@ -228,8 +228,7 @@ def level1_decomposition(n, k, order, variant="a"):
                  for j in range(low[r], order + 1)] for r in residues]
 
     held = _grown(_DECOMP_CACHE, [(n, r) for r in residues], order, fill)
-    sums = {r: build_qseries(ring, delta, order, ((delta + j, c) for j, c in enumerate(cs)))
-            for r, cs in zip(residues, held)}
+    sums = {r: build_qseries(ring, delta, order, enumerate(cs)) for r, cs in zip(residues, held)}
     if variant == "a":
         return sums[a]
     inverted = QSeries(delta, sums[b].value.subs_x_inverse(), order)
@@ -254,11 +253,11 @@ def level1_theta(n, k, order):
     the relation, so no two exponents share a monomial.
 
     The search is complete.  Every vector in the window has P <= cap with
-    cap = floor(2n * cutoff).  Let P_i and s_i be the pairwise sum and the
-    sum of the first i entries.  Appending x adds sum_{j<=i} (a_j - x)^2,
-    at least its minimum over real x, P_i / i at x = s_i / i; each later
-    entry adds at least that much again, as its sum runs over a longer
-    prefix.  So P >= P_i + (n - i) P_i / i = n P_i / i, and a prefix with
+    cap = k(n - k) + 2n order, the P of q^(delta + order).  Let P_i and s_i
+    be the pairwise sum and the sum of the first i entries.  Appending x
+    adds sum_{j<=i} (a_j - x)^2, at least its minimum over real x, P_i / i
+    at x = s_i / i; each later entry adds at least that much again, as its
+    sum runs over a longer prefix.  So P >= P_i + (n - i) P_i / i = n P_i / i, and a prefix with
     n P_i > i cap has no completion in the window.  The first entry is at
     most isqrt(cap), as a_1^2 = (a_1 - a_n)^2 <= P.  Each later entry is
     scanned downward from the previous one: below the prefix's minimum
@@ -270,11 +269,11 @@ def level1_theta(n, k, order):
     check_order(order)
     ring = Ring(n, relation=True)
     delta = conformal_dimension(n, k)
-    two_n = 2 * n
+    base, two_n = k * (n - k), 2 * n
 
     def fill(lows):
         (lo,) = lows
-        cap = math.floor(two_n * (delta + order))
+        cap = base + two_n * order
         # the class of P sits at q^(P / 2n) = q^(delta + j), j = (P - k(n - k)) / 2n
         # exactly: P = s(n - s) mod 2n, and s(n - s) = k(n - k) mod 2n for s = k mod n
         orbits = {}
@@ -293,7 +292,7 @@ def level1_theta(n, k, order):
                     i, s, squares, pairs = i + 1, s + x, squares + x * x, total
                     continue
             elif i == n - 1 and s % n == k and pairs + squares <= cap:
-                j = (pairs + squares - k * (n - k)) // two_n
+                j = (pairs + squares - base) // two_n
                 if j >= lo:
                     orbits.setdefault(j, []).append((*(2 * y for y in prefix), 0))
             if not frames:
@@ -461,19 +460,17 @@ def branching_function(k, lam, n, order):
     if lam.size() % n != k % n:
         raise ValueError("shape size incompatible with the sector")
     ring = Ring(n, relation=True)
-    delta = conformal_dimension(n, k)
-    cutoff = delta + order
+    base, two_n = k * (n - k), 2 * n
     one = (0,) * n
 
     def contributions():
-        for blocks, expo in decomposition_strips(n, cutoff, k):
+        for blocks, F in decomposition_strips(n, base + two_n * order, k):
             m = sum(blocks)
             if m < lam.size():
                 continue
-            j = (m - lam.size()) // n
-            content = lam.padded(n, add=j)
+            content = lam.padded(n, add=(m - lam.size()) // n)
             c = count_LR(BorderStrip(blocks), content)
             if c:
-                yield expo, ring.monomial(one, c)
+                yield (F - base) // two_n, ring.monomial(one, c)
 
-    return build_qseries(ring, delta, order, contributions())
+    return build_qseries(ring, conformal_dimension(n, k), order, contributions())

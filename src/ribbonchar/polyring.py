@@ -971,28 +971,23 @@ def check_order(order):
 
 
 def build_qseries(ring, offset, order, contributions):
-    """Assemble a QSeries from (rational exponent, Laurent) contributions.
+    """Assemble a QSeries from (j, Laurent) contributions, each at
+    q^(offset + j).
 
-    Exponents must sit in offset + Z_{>=0}, no higher than offset + order,
-    and so must every exponent a contribution's own q powers reach.  The
-    sum is accumulated in place into one term dict; a contribution at
-    offset + j adds j to each of its keys.
+    Each shift j must be an int in 0..order, and every q power a
+    contribution's own terms reach must stay in the window too.  The sum is
+    accumulated in place into one term dict; a contribution at shift j adds
+    j to each of its keys.
     """
     check_order(order)
-    offset = Fraction(offset)
-    # j = expo - offset = (a*od - on*b) / (b*od) for expo = a/b, in integers
-    on, od = offset.numerator, offset.denominator
     acc = {}
     get = acc.get
     digit = _DIGIT
-    for expo, value in contributions:
+    for j, value in contributions:
         if value.ring is not ring:
             raise RingContextError("series contribution in wrong context")
-        e = expo if isinstance(expo, (int, Fraction)) else Fraction(expo)
-        b = e.denominator
-        j, rest = divmod(e.numerator * od - on * b, b * od)
-        if rest or not 0 <= j <= order:
-            raise ValueError(f"exponent {expo} not in offset {offset} + 0..{order}")
+        if type(j) is not int or not 0 <= j <= order:
+            raise ValueError(f"shift {j!r} not an int in 0..{order}")
         # q digit + j must stay in 0..order, so the digit itself in lo..hi
         lo, hi = _BIAS - j, _BIAS + order - j
         for k, c in value.terms.items():

@@ -10,7 +10,6 @@ and are handled as plain block tuples.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate
 
 from .polyring import QPoly, Ring, build_qseries
@@ -356,10 +355,10 @@ def motif_excitation(d, n):
 def polychronakos_ground_energy(N, n):
     """The normalizing constant making the lowest excitation zero."""
     Nbar = N % n
-    e = Fraction((n - 1) * N * N, 2 * n) - Fraction(Nbar * (n - Nbar), 2 * n)
-    if e.denominator != 1:
+    e, rest = divmod((n - 1) * N * N - Nbar * (n - Nbar), 2 * n)
+    if rest:
         raise AssertionError("ground energy is not an integer")
-    return int(e)
+    return e
 
 
 def Z_vertex(N, n, relation=False):

@@ -243,7 +243,7 @@ def _strip_sum(n, low, order, character):
         Ring(n, relation=False),
         low,
         order - low,
-        ((t, character(blocks)) for blocks in twisted_strips(order)
+        ((t - low, character(blocks)) for blocks in twisted_strips(order)
          if (t := twisted_t_statistic(blocks)) >= low),
     )
 

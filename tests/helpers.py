@@ -3,6 +3,7 @@ command and no library route calls them, so they live here rather than in the
 package.  An oracle is the second route of a quantity whose library route is
 checked against it."""
 import functools
+from fractions import Fraction
 from itertools import accumulate
 
 from ribbonchar.characters import (
@@ -32,6 +33,21 @@ from ribbonchar.spectra import (
 )
 from ribbonchar.tableaux import STANDARD, filling_sum, kostka_numbers, lattice_start
 from ribbonchar.twisted import t_character
+
+
+def qseries_at_exponents(ring, offset, order, contributions):
+    """``build_qseries`` from (rational exponent, Laurent) contributions, for
+    the tests that compute their own exponents: ValueError unless each
+    exponent less the offset is an integer j in 0..order, which is the shift
+    handed on.  The oracle of the shifts that the library reads as integers."""
+    def shifts():
+        for expo, value in contributions:
+            j = Fraction(expo) - Fraction(offset)
+            if j.denominator != 1 or not 0 <= j <= order:
+                raise ValueError(f"exponent {expo} not in offset {offset} + 0..{order}")
+            yield int(j), value
+
+    return build_qseries(ring, offset, order, shifts())
 
 
 def reversed_q(p):
@@ -274,9 +290,9 @@ def level1_decomposition_by_strips(n, k, order, variant="a"):
     delta = conformal_dimension(n, k)
 
     def strip_sum(residue):
-        return build_qseries(ring, delta, order, (
-            (expo, schur_strip_cached(blocks, n, relation=True))
-            for blocks, expo in decomposition_strips(n, delta + order, residue)
+        return qseries_at_exponents(ring, delta, order, (
+            (Fraction(F, 2 * n), schur_strip_cached(blocks, n, relation=True))
+            for blocks, F in decomposition_strips(n, k * (n - k) + 2 * n * order, residue)
         ))
 
     if variant == "a":
@@ -302,6 +318,5 @@ def t_determinant_by_matrix(blocks, n):
 def symmetrized_series_by_product(ring, offset, order, classes, power):
     """``symmetrized_series`` as two series: the classes' orbit sums summed
     by ``build_qseries``, times ``inverse_pochhammer_series``."""
-    numerator = build_qseries(ring, offset, order, (
-        (offset + j, value) for j, value in classes))
+    numerator = build_qseries(ring, offset, order, classes)
     return numerator * inverse_pochhammer_series(ring, power, order)

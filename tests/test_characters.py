@@ -50,6 +50,7 @@ from helpers import (
     kostka_by_peel,
     kostka_foulkes_by_columns,
     kostka_oracle_at_rank,
+    qseries_at_exponents,
     schur_straight,
     symmetrized_series_by_product,
     z_vertex_by_strips,
@@ -162,7 +163,7 @@ def test_loops_reach_no_recursion_limit(monkeypatch):
         assert list(_compositions(1, r)) == [(0,) * (r - 1 - i) + (1,) + (0,) * i for i in range(r)]
         theta = level1_theta(r, 0, 0)
         assert theta.coeffs == [Ring(r, relation=True).one()]
-        assert list(decomposition_strips(1, r, 0)) == [((), 0)]
+        assert list(decomposition_strips(1, 2 * r, 0)) == [((), 0)]
         ones = (1,) * 110
         assert twisted.sL_determinant(ones, 1) == twisted.chi_twisted(ones, 1, method="fiber")
     finally:
@@ -330,77 +331,82 @@ def test_pair_equals_the_single_variants(monkeypatch):
                 assert (a == b) == (2 * k % n == 0), (n, k, order)
 
 
-def strip_depth(n, cutoff):
-    """Most columns a strip inside the window can have, by the bound proved
-    in ``decomposition_strips``."""
-    cap = math.floor(2 * n * Fraction(cutoff))
+def strip_depth(n, cap):
+    """Most columns a strip with F <= cap can have, by the bound proved in
+    ``decomposition_strips``."""
     return max(0, (cap - n + 1) // (n + 1) + 1)
 
 
-def brute_force_strips(n, cutoff, residue, columns):
+def brute_force_strips(n, cap, residue, columns):
     """Every strip of at most ``columns`` columns with size congruent to
-    ``residue`` mod n and exponent <= cutoff: all column tuples, filtered."""
+    ``residue`` mod n and F <= cap, F = 2n times its exponent: all column
+    tuples, filtered."""
     out = set()
-    if cutoff >= 0 and residue % n == 0:
-        out.add(((), Fraction(0)))
+    if cap >= 0 and residue % n == 0:
+        out.add(((), 0))
     for r in range(1, columns + 1):
         for blocks in product(*([range(1, n + 1)] * (r - 1) + [range(1, n)])):
             m = sum(blocks)
             if m % n != residue % n:
                 continue
-            f = Fraction(m * (n - m), 2 * n) + sum(accumulate(blocks[:-1]))
-            if f <= cutoff:
-                out.add((blocks, f))
+            F = m * (n - m) + 2 * n * sum(accumulate(blocks[:-1]))
+            if F <= cap:
+                out.add((blocks, F))
     return out
 
 
-def assert_strips_match_brute_force(n, cutoff, margin):
+def assert_strips_match_brute_force(n, cap, margin):
     single = {}
     for residue in range(n):
-        got = single[residue] = list(decomposition_strips(n, cutoff, residue))
-        assert len(got) == len(set(got)), (n, cutoff, residue)
-        expected = brute_force_strips(n, cutoff, residue, strip_depth(n, cutoff) + margin)
-        assert set(got) == expected, (n, cutoff, residue)
+        got = single[residue] = list(decomposition_strips(n, cap, residue))
+        assert len(got) == len(set(got)), (n, cap, residue)
+        expected = brute_force_strips(n, cap, residue, strip_depth(n, cap) + margin)
+        assert set(got) == expected, (n, cap, residue)
+        # the exact j = (F - r(n - r)) // 2n of the level-1 fills
+        assert all(F % (2 * n) == residue * (n - residue) % (2 * n) for _b, F in got)
     # two residues from one search: the union, each class in its own order
     for r in range(n):
         for s in range(n):
-            got = list(decomposition_strips(n, cutoff, r, s))
-            assert len(got) == len(set(got)), (n, cutoff, r, s)
-            assert set(got) == set(single[r]) | set(single[s]), (n, cutoff, r, s)
+            got = list(decomposition_strips(n, cap, r, s))
+            assert len(got) == len(set(got)), (n, cap, r, s)
+            assert set(got) == set(single[r]) | set(single[s]), (n, cap, r, s)
             for residue in (r, s):
-                own = [(b, e) for b, e in got if sum(b) % n == residue]
-                assert own == single[residue], (n, cutoff, r, s)
+                own = [(b, F) for b, F in got if sum(b) % n == residue]
+                assert own == single[residue], (n, cap, r, s)
 
 
 def test_strips_match_brute_force():
-    cutoffs = {
-        2: (0, Fraction(1, 4), 3, Fraction(13, 2)),
-        3: (Fraction(1, 3), 2, Fraction(13, 3)),
-        4: (Fraction(3, 8), Fraction(5, 2), Fraction(7, 2)),
-        5: (Fraction(2, 5), Fraction(3, 2), Fraction(5, 2)),
+    # 2n times the exponent cutoffs 0, 1/4, 3, 13/2 (n = 2), 1/3, 2, 13/3
+    # (n = 3), 3/8, 5/2, 7/2 (n = 4) and 2/5, 3/2, 5/2 (n = 5), rounded down
+    caps = {
+        2: (0, 1, 12, 26),
+        3: (2, 12, 26),
+        4: (3, 20, 28),
+        5: (4, 15, 25),
     }
-    for n, values in cutoffs.items():
-        for cutoff in values:
-            assert_strips_match_brute_force(n, cutoff, margin=2)
+    for n, values in caps.items():
+        for cap in values:
+            assert_strips_match_brute_force(n, cap, margin=2)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 5).flatmap(
     lambda n: st.tuples(st.just(n), st.integers(-1, 5 * n + 5))))
 def test_strips_match_brute_force_random(case):
-    n, a = case
-    assert_strips_match_brute_force(n, Fraction(a, 2 * n), margin=1)
+    n, cap = case
+    assert_strips_match_brute_force(n, cap, margin=1)
 
 
 def test_strip_enumeration_box_is_saturated():
     # enlarging the search box must not add strips inside the window: the
-    # brute force run three columns past the proved depth finds nothing new
-    for n, cutoff in ((2, Fraction(13, 2)), (3, Fraction(9, 2)), (4, Fraction(3))):
-        depth = strip_depth(n, cutoff)
+    # brute force run three columns past the proved depth finds nothing new;
+    # the caps are 2n times the cutoffs 13/2, 9/2 and 3
+    for n, cap in ((2, 26), (3, 27), (4, 24)):
+        depth = strip_depth(n, cap)
         for residue in range(n):
-            small = brute_force_strips(n, cutoff, residue, depth)
-            large = brute_force_strips(n, cutoff, residue, depth + 3)
-            assert small == large == set(decomposition_strips(n, cutoff, residue))
+            small = brute_force_strips(n, cap, residue, depth)
+            large = brute_force_strips(n, cap, residue, depth + 3)
+            assert small == large == set(decomposition_strips(n, cap, residue))
 
 
 def theta_by_float_box(n, k, order):
@@ -418,7 +424,7 @@ def theta_by_float_box(n, k, order):
         expo = Fraction(sum(x * x for x in a), 2) - Fraction(s * s, 2 * n)
         if expo <= cutoff:
             terms.append((expo, ring.monomial(tuple(2 * x for x in a))))
-    numerator = build_qseries(ring, delta, order, terms)
+    numerator = qseries_at_exponents(ring, delta, order, terms)
     return numerator * inverse_pochhammer_series(ring, n - 1, order)
 
 
@@ -472,7 +478,7 @@ def theta_by_coordinates(n, k, order):
             yield from grow(i + 1, s + x, squares + x * x, total, has_zero or x == 0)
             doubled.pop()
 
-    numerator = build_qseries(ring, delta, order, grow(0, 0, 0, 0, False))
+    numerator = qseries_at_exponents(ring, delta, order, grow(0, 0, 0, 0, False))
     return numerator * inverse_pochhammer_series(ring, n - 1, order)
 
 

@@ -21,9 +21,10 @@ from ribbonchar import schur as schur_module
 from ribbonchar import spectra as spectra_module
 from ribbonchar import twisted as twisted_module
 from ribbonchar.cli import dumps_indented, laurent_to_json, main
-from ribbonchar.polyring import QPoly, QSeries, Ring, build_qseries, qpoly_to_json
+from ribbonchar.polyring import QPoly, QSeries, Ring, qpoly_to_json
 from ribbonchar.shapes import BorderStrip, Partition
 from ribbonchar.spectra import SpectrumPoint, enumerate_Sp_N, enumerate_fiber, weight
+from helpers import qseries_at_exponents
 from wire import laurent_from_json, laurent_terms, qpoly_from_json
 
 
@@ -265,7 +266,7 @@ def add_x1_to_theta(monkeypatch):
     def faulty_theta(n, k, order):
         theta = real_theta(n, k, order)
         extra = [(theta.offset + 2, theta.ring.gen(1))]
-        return theta + build_qseries(theta.ring, theta.offset, order, extra)
+        return theta + qseries_at_exponents(theta.ring, theta.offset, order, extra)
 
     monkeypatch.setattr(characters, "level1_theta", faulty_theta)
 
@@ -414,7 +415,7 @@ def plus_x1(value):
     in a polynomial of q alone."""
     if isinstance(value, QSeries):
         extra = [(value.offset + 1, value.ring.gen(1))]
-        return value + build_qseries(value.ring, value.offset, value.order, extra)
+        return value + qseries_at_exponents(value.ring, value.offset, value.order, extra)
     if isinstance(value, QPoly):
         return value + QPoly.term(1)
     return value + value.ring.gen(1)

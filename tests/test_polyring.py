@@ -22,7 +22,7 @@ from ribbonchar.polyring import (
     q_pochhammer,
     qseries_to_json,
 )
-from helpers import pack_by_shifts, reversed_q, vector_by_digits
+from helpers import pack_by_shifts, qseries_at_exponents, reversed_q, vector_by_digits
 from wire import laurent_from_json, laurent_terms, qseries_from_json
 
 
@@ -66,7 +66,7 @@ def test_ring_is_one_object_per_context():
 def test_series_ring_is_its_value_ring():
     for relation in (False, True):
         ring = Ring(2, relation)
-        series = build_qseries(ring, Fraction(1, 4), 2, [(Fraction(5, 4), ring.gen(1))])
+        series = qseries_at_exponents(ring, Fraction(1, 4), 2, [(Fraction(5, 4), ring.gen(1))])
         for s in (series, series + series, -series, series * series, series * 3):
             assert s.ring is s.value.ring is ring
 
@@ -242,7 +242,7 @@ def test_qseries_arithmetic_and_window():
     ring = Ring(2)
     one = ring.one()
     a = build_qseries(ring, 0, 2, [(0, one), (1, one * 2), (2, one * 3)])
-    b = build_qseries(ring, 1, 1, [(1, one), (2, one)])
+    b = build_qseries(ring, 1, 1, [(0, one), (1, one)])
     total = a + b
     assert total.offset == 0 and total.order == 2
     assert total.coeffs[1] == one * 3 and total.coeffs[2] == one * 4
@@ -269,18 +269,26 @@ def test_build_qseries_strictness():
         build_qseries(ring, 0, 1, [(5, one)])
     with pytest.raises(ValueError):
         build_qseries(ring, 0, 1, [(-1, one)])
-    # the exponent is checked even where the value vanishes
+    # the shift is checked even where the value vanishes
     with pytest.raises(ValueError):
         build_qseries(ring, 0, 1, [(2, ring.zero())])
+    # a shift is an int: no rational, float or bool, even of integral value
+    for j in (Fraction(1, 2), 1.0, Fraction(1), True):
+        with pytest.raises(ValueError):
+            build_qseries(ring, 0, 1, [(j, one)])
     # a contribution's own q powers move it inside the window ...
     x1 = ring.gen(1)
     quarter = Fraction(1, 4)
-    assert build_qseries(ring, quarter, 3, [(quarter + 1, x1 * QPoly({0: 2, 2: 5}))]) == (
-        build_qseries(ring, quarter, 3, [(quarter + 1, x1 * 2), (quarter + 3, x1 * 5)]))
+    assert build_qseries(ring, quarter, 3, [(1, x1 * QPoly({0: 2, 2: 5}))]) == (
+        build_qseries(ring, quarter, 3, [(1, x1 * 2), (3, x1 * 5)]))
     # ... and may not carry it out, above or below
     for qpow in (3, -2):
         with pytest.raises(ValueError):
-            build_qseries(ring, quarter, 3, [(quarter + 1, x1 * QPoly.term(qpow))])
+            build_qseries(ring, quarter, 3, [(1, x1 * QPoly.term(qpow))])
+    # the rational oracle holds exponents to offset + 0..order the same way
+    for expo in (quarter + Fraction(1, 2), quarter - 1, quarter + 4, 1):
+        with pytest.raises(ValueError):
+            qseries_at_exponents(ring, quarter, 3, [(expo, one)])
 
 
 def test_json_round_trip():
@@ -293,7 +301,7 @@ def test_json_round_trip():
             assert laurent_from_json(json.loads(json.dumps(doc, default=laurent_terms))) == poly
     ring = Ring(2, relation=True)
     quarter = Fraction(1, 4)
-    series = build_qseries(
+    series = qseries_at_exponents(
         ring, quarter, 3, [(quarter + j, ring.gen(1) * (j + 1)) for j in range(4)]
     )
     doc = qseries_to_json(series)
@@ -347,7 +355,8 @@ def as_ref(series):
 
 def from_ref(ring, ref):
     offset, coeffs, order = ref
-    return build_qseries(ring, offset, order, [(offset + j, c) for j, c in enumerate(coeffs)])
+    return qseries_at_exponents(ring, offset, order,
+                                [(offset + j, c) for j, c in enumerate(coeffs)])
 
 
 def laurents(ring, q_exponents=st.just(0)):
@@ -398,6 +407,30 @@ def test_qseries_matches_coefficient_list_reference(case):
     assert verdict == ref_verdict and (verdict == (sa == ss))
     assert mismatch == ref_mismatch
     assert qseries_from_json(json.loads(json.dumps(qseries_to_json(sa), default=laurent_terms))) == sa
+
+
+@settings(max_examples=60, deadline=None)
+@given(rings.flatmap(lambda ring: st.tuples(
+    st.just(ring),
+    st.integers(-8, 8).map(lambda quarters: Fraction(quarters, 4)),
+    st.integers(0, 4),
+    st.lists(st.tuples(st.integers(0, 4), laurents(ring, st.integers(0, 2))), max_size=4),
+)))
+def test_build_qseries_shifts_equal_the_rational_oracle(case):
+    # a shift j of the library is the exponent offset + j of the oracle, in
+    # the window or out of it; inside, the value is the sum of q^j times each
+    # contribution
+    ring, offset, order, contributions = case
+    try:
+        expected = qseries_at_exponents(ring, offset, order,
+                                        [(offset + j, c) for j, c in contributions])
+    except ValueError:
+        with pytest.raises(ValueError):
+            build_qseries(ring, offset, order, contributions)
+    else:
+        series = build_qseries(ring, offset, order, contributions)
+        assert series == expected and series.offset == offset
+        assert series.value == sum((c * QPoly.term(j) for j, c in contributions), ring.zero())
 
 
 def compare_by_difference(a, b):

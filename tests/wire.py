@@ -8,9 +8,10 @@ default=laurent_terms)`` is the text the CLI must print for ``doc``.
 """
 from fractions import Fraction
 
-from ribbonchar.polyring import Laurent, QPoly, Ring, build_qseries, qpoly_to_json
+from ribbonchar.polyring import Laurent, QPoly, Ring, qpoly_to_json
 from ribbonchar.shapes import SkewDiagram
 from ribbonchar.tableaux import Tableau
+from helpers import qseries_at_exponents
 
 
 def laurent_terms(value):
@@ -39,7 +40,7 @@ def qseries_from_json(doc):
         ring.from_terms((tuple(t["x2"]), qpoly_from_json(t["q"])) for t in terms)
         for terms in doc["coefficients"]
     )
-    return build_qseries(
+    return qseries_at_exponents(
         ring, offset, int(doc["order"]), ((offset + j, c) for j, c in enumerate(coeffs))
     )
 
