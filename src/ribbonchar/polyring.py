@@ -865,7 +865,7 @@ class QSeries:
     def __init__(self, offset, value, order):
         if order < 0:
             raise ValueError("truncation order must be >= 0")
-        self.offset = Fraction(offset)
+        self.offset = offset if isinstance(offset, Fraction) else Fraction(offset)
         self.value = value
         self.order = order
 

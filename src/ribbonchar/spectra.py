@@ -10,7 +10,7 @@ and are handled as plain block tuples.
 """
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, compress
 
 from .polyring import QPoly, Ring, build_qseries
 from .shapes import BorderStrip, block_bits, blocks_from_ones
@@ -194,18 +194,43 @@ def _letter_moves(letters, H, bits, tail):
     whose state is the letter just placed: ``moves[0][None]`` at the first
     position and ``moves[i][a]`` after a at position i, each a pair (b, b),
     the last letter meeting the tail too; no moves for empty ``bits``.  H
-    is read once per pair of letters and once per letter against the tail."""
+    is read once per pair of letters and once per letter against the tail.
+
+    Only live letters are allowed.  A letter is live at a position when a
+    word of the remaining positions starts with it: it and the letters
+    after it meet the remaining bits, the last one against the tail.  The
+    tables are built from the last position back.  The last letter is live
+    when it meets the tail, and an earlier one when its row in the next
+    table, which holds only live letters, is not empty.  So every prefix
+    that the moves reach extends to a word, and every word keeps all its
+    moves: only partial words with no completion are dropped.  Tables of
+    one (bit, live set) are shared, and a position with every letter live
+    reads the unpruned table of its bit.
+    """
     if not bits:
         return []
     letters = tuple(letters)
-    ends = {a for a in letters if H(a, tail) == bits[-1]}
+    into = tuple(zip(letters, letters))  # the move into each letter
     rows = [(a, [H(a, b) for b in letters]) for a in letters]
     follow = {
-        bit: {a: tuple((b, b) for b, h in zip(letters, row) if h == bit) for a, row in rows}
+        bit: {a: tuple(compress(into, [h == bit for h in row])) for a, row in rows}
         for bit in set(bits[:-1])
     }
-    moves = [{None: tuple(zip(letters, letters))}] + [follow[bit] for bit in bits[:-1]]
-    moves[-1] = {a: tuple(mv for mv in row if mv[0] in ends) for a, row in moves[-1].items()}
+    # the moves into the live letters of the position after the table
+    live = frozenset(compress(into, [H(a, tail) == bits[-1] for a in letters]))
+    tables = {}
+    moves = []
+    for bit in reversed(bits[:-1]):
+        got = tables.get((bit, live))
+        if got is None:
+            table = follow[bit]
+            if len(live) < len(letters):
+                table = {a: tuple(filter(live.__contains__, row)) for a, row in table.items()}
+            got = tables[bit, live] = table, frozenset(compress(into, table.values()))
+        table, live = got
+        moves.append(table)
+    moves.append({None: tuple(filter(live.__contains__, into))})
+    moves.reverse()
     return moves
 
 

@@ -210,16 +210,16 @@ class _CellMoves(dict):
     __slots__ = ("plan",)
 
     def __missing__(self, state):
-        up, left, drop, append, pin, zero, m = self.plan
+        up, left, drop, append, pin, cap, zero, m = self.plan
         lo = 0
         if up:  # the cell above is the first of the frontier
             lo = state[0] + (state[0] != zero)
         if left:  # the cell to the left is the last
             lo = max(lo, state[-1] + (state[-1] == zero))
         if pin is None:
-            choices, shift = range(lo, m), 0
+            choices, shift = range(lo, cap + 1), 0
         else:
-            choices, shift = (pin,) if pin >= lo else (), m
+            choices, shift = (pin,) if lo <= pin <= cap else (), m
         rest = state[up:len(state) - drop]
         moves = self[state] = [(rest + (b,) if append else rest, b + shift) for b in choices]
         return moves
@@ -227,6 +227,38 @@ class _CellMoves(dict):
 
 # (letters, rank of the signed 0 or -1) -> cell kind -> its moves
 _MOVES_CACHE = {}
+
+
+def _rank_caps(cells, pins, m, zero):
+    """{cell: the largest rank that any filling puts there}, for ``cells``
+    in row-major order, ``pins`` as ``_pin_ranks`` gives them, m letters and
+    ``zero`` the rank of the signed 0 (or -1).
+
+    One pass in reverse row-major order, so the cells below and right of a
+    cell come first.  A cell's rank is at most m - 1, or its pin's.  Let
+    the cell below hold b <= k.  The column rule puts a < b above it, or
+    a = b = 0: so a <= k - 1, except that a may reach k when k is the
+    signed 0 (a 0 on a 0; below the 0 the rule stays strict).  Let the cell
+    to the right hold b <= k.  The row rule gives a <= b <= k, with a < b
+    when b is the signed 0: so a <= k - 1 when k is the signed 0.  By
+    induction every filling respects every cap, and a walk that places no
+    rank above its cell's cap drops only partial fillings that nothing
+    completes.  The same steps show that the least rank that a cell's
+    placed neighbours leave it, if they respect their caps, is at most its
+    own cap.  So when every cap is at least 0 and every pinned cell's cap
+    is its pin, each partial filling within the caps extends to a filling.
+    """
+    caps = {}
+    for r, c in reversed(cells):
+        cap = pins.get((r, c), m - 1)
+        below = caps.get((r + 1, c))
+        if below is not None:
+            cap = min(cap, below - (below != zero))
+        right = caps.get((r, c + 1))
+        if right is not None:
+            cap = min(cap, right - (right == zero))
+        caps[r, c] = cap
+    return caps
 
 
 def filling_sum(ring, shape, alphabet, pinned=None):
@@ -251,9 +283,12 @@ def filling_sum(ring, shape, alphabet, pinned=None):
     border strip keeps at most two ranks.  The letters allowed below rank
     a and right of rank l are the ranks from max(a + 1, l) up, except that
     the signed 0 may sit below a 0 but not right of one: the closed form of
-    the pair rules.  A pinned cell allows only its rank and steps by half a
-    letter, a letter of its own.  Cells of one kind (neighbours, drops,
-    append, pin) share their moves.
+    the pair rules.  They stop at the cell's cap (``_rank_caps``), the
+    largest rank that the cells below and right of it leave, so on a shape
+    that has fillings every frontier of the walk extends to one.  A pinned
+    cell allows
+    only its rank and steps by half a letter, a letter of its own.  Cells of
+    one kind (neighbours, drops, append, pin, cap) share their moves.
     """
     n = ring.n
     if alphabet == STANDARD:
@@ -267,13 +302,13 @@ def filling_sum(ring, shape, alphabet, pinned=None):
     for p in pins.values():
         steps[p + m] = tuple(d // 2 for d in steps[p])
     cells = shape.cells()
-    inside = set(cells)
+    caps = _rank_caps(cells, pins, m, zero)
     kinds = _MOVES_CACHE.setdefault((m, zero), {})
     moves = []
     for r, c in cells:
-        left = (r, c - 1) in inside
-        kind = ((r - 1, c) in inside, left, left and (r + 1, c - 1) not in inside,
-                (r + 1, c) in inside or (r, c + 1) in inside, pins.get((r, c)))
+        left = (r, c - 1) in caps
+        kind = ((r - 1, c) in caps, left, left and (r + 1, c - 1) not in caps,
+                (r + 1, c) in caps or (r, c + 1) in caps, pins.get((r, c)), caps[r, c])
         move = kinds.get(kind)
         if move is None:
             move = kinds[kind] = _CellMoves()

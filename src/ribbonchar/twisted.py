@@ -95,7 +95,12 @@ def _fiber_scan(blocks, n):
 
     After the last forced 1 the letters must ascend strictly to 0 and stay
     there, so prefixes longer than p_r + n + 1 never occur; the scan length
-    below is safely beyond that.
+    below is safely beyond that.  The scan skips every letter that can no
+    longer reach the tail (``_letter_moves`` keeps live letters only).
+    Each 0 bit asks for a strictly higher letter, or a 0 after a 0, so a
+    letter -j dies before j or more 0 bits in a row, and every negative
+    letter dies in the closing run of 0 bits, which must end at or below
+    the tail 0.
     """
     target = block_bits(blocks, sum(blocks) + n + 2)
     return signed_alphabet(n), partial(local_energy_twisted, n=n), target, 0

@@ -320,3 +320,35 @@ def symmetrized_series_by_product(ring, offset, order, classes, power):
     by ``build_qseries``, times ``inverse_pochhammer_series``."""
     numerator = build_qseries(ring, offset, order, classes)
     return numerator * inverse_pochhammer_series(ring, power, order)
+
+
+def walk_entries(start, steps, moves):
+    """The (state, key) entries that ``Ring.walk_sum`` holds after each of
+    its positions, summed over the positions: a shadow walk with exact keys
+    (the vector and the q exponent as a tuple)."""
+    keys = {a: (*v, e) for a, (v, e) in steps.items()}
+    state, entries = {None: {(*start, 0)}}, 0
+    for move in moves:
+        after = {}
+        for a, held in state.items():
+            for b, letter in move[a]:
+                u = keys[letter]
+                after.setdefault(b, set()).update(
+                    tuple(x + y for x, y in zip(k, u)) for k in held)
+        state = after
+        entries += sum(map(len, state.values()))
+    return entries
+
+
+def count_walk_entries(monkeypatch):
+    """A list that gets ``walk_entries`` of every ``Ring.walk_sum`` call
+    made while ``monkeypatch`` holds; each call still returns its sum."""
+    counted, walk = [], Ring.walk_sum
+
+    def shadow(ring, start, steps, moves):
+        counted.append(walk_entries(start, steps, moves))
+        return walk(ring, start, steps, moves)
+
+    monkeypatch.setattr(Ring, "walk_sum", shadow)
+    return counted
+

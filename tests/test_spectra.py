@@ -251,18 +251,21 @@ def test_local_energy_words_matches_recursive_oracle():
 
 def letter_moves_by_pairs(letters, H, bits, tail):
     """The scan's table built pair by pair for each distinct bit, H called
-    letters**2 times per bit: the oracle for ``_letter_moves``."""
+    letters**2 times per bit, then cut to the moves that some word uses:
+    the oracle for ``_letter_moves``.  A move into b at position i is kept
+    when a word of ``local_energy_words_recursive`` over the bits from
+    position i on starts with b."""
     if not bits:
         return []
     letters = tuple(letters)
-    ends = {a for a in letters if H(a, tail) == bits[-1]}
     follow = {
         bit: {a: tuple((b, b) for b in letters if H(a, b) == bit) for a in letters}
         for bit in set(bits[:-1])
     }
     moves = [{None: tuple((a, a) for a in letters)}] + [follow[bit] for bit in bits[:-1]]
-    moves[-1] = {a: tuple((b, b) for b, _ in row if b in ends)
-                 for a, row in moves[-1].items()}
+    for i, move in enumerate(moves):
+        starts = {word[0] for word in local_energy_words_recursive(letters, H, bits[i:], tail)}
+        moves[i] = {a: tuple(mv for mv in row if mv[0] in starts) for a, row in move.items()}
     return moves
 
 

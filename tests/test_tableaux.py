@@ -16,7 +16,9 @@ from ribbonchar.tableaux import (
     STANDARD,
     Tableau,
     _enumerate,
+    _pin_ranks,
     _pinned_strip,
+    _rank_caps,
     count_LR,
     enumerate_L_admissible,
     enumerate_admissible,
@@ -34,7 +36,7 @@ from ribbonchar.tableaux import (
     tableau_weight,
 )
 from ribbonchar.twisted import kappa_twisted, sL_determinant
-from helpers import lattice_column
+from helpers import count_walk_entries, lattice_column
 from wire import tableau_from_json, tableau_to_json
 
 
@@ -375,6 +377,43 @@ def test_filling_weights_match_tableau_enumerators(case):
     fillings = list(islice(oracle, ORACLE_LIMIT + 1))
     assume(len(fillings) <= ORACLE_LIMIT)
     assert_filling_sums(fillings, shape, n, alphabet, pinned)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pinned_skew_fillings())
+# a column of three at n = 1: a 0 on a 0 reaches the cap of the signed 0
+@example((SkewDiagram.from_str("1,1,1/0"), 1, SIGNED, None))
+@example((SkewDiagram.from_str("2,2/0"), 1, SIGNED, None))
+@example((SkewDiagram.from_str("2,1/0"), 2, SIGNED, {(2, 1): 0}))
+def test_fillings_respect_rank_caps(case):
+    # every filling stays within the caps, and the caps are the most that
+    # fillings reach: the caps themselves fill the shape whenever it has a
+    # filling; it has none exactly when a cap is below 0 or below its pin
+    shape, n, alphabet, pinned = case
+    letters = signed_alphabet(n) if alphabet == SIGNED else list(range(1, n + 1))
+    rank = {a: r for r, a in enumerate(letters)}
+    zero = rank[0] if alphabet == SIGNED else -1
+    pins = _pin_ranks(shape, n, alphabet, pinned or {})
+    caps = _rank_caps(shape.cells(), pins, len(letters), zero)
+    assert set(caps) == set(shape.cells())
+    fillings = list(islice(_enumerate(shape, n, alphabet, pinned), ORACLE_LIMIT))
+    for t in fillings:
+        assert all(rank[a] <= caps[cell] for cell, a in t.entries.items()), t
+    if fillings:
+        top = {cell: letters[k] for cell, k in caps.items()}
+        assert [t.entries for t in _enumerate(shape, n, alphabet, top)] == [top]
+    else:
+        assert min(caps.values()) < 0 or any(caps[c] != k for c, k in pins.items())
+
+
+# 1,348 entries before the rank caps, and 193 with no cap step left of a
+# signed 0 (the row rule's exception)
+def test_rank_caps_shrink_a_skew_walk(monkeypatch):
+    shape = SkewDiagram.from_str("3,3,3,3/1")
+    want = Ring(2).from_terms((tableau_weight(t), 1) for t in enumerate_admissible(shape, 2))
+    counted = count_walk_entries(monkeypatch)
+    assert filling_sum(Ring(2), shape, SIGNED) == want
+    assert len(counted) == 1 and counted[0] <= 170
 
 
 def assert_filling_sums(fillings, shape, n, alphabet, pinned):

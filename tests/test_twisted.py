@@ -29,7 +29,7 @@ from ribbonchar.twisted import (
     twisted_t_statistic,
     weight_twisted,
 )
-from helpers import t_determinant_by_matrix
+from helpers import count_walk_entries, t_determinant_by_matrix
 
 
 def test_local_energy_twisted():
@@ -338,3 +338,13 @@ def test_empty_fiber_matches_empty_tableaux():
     n = 1
     tall = (7,)
     assert chi_twisted(tall, n) == chi_twisted(tall, n, method="fiber")
+
+
+# before the rank caps of filling_sum and the live letters of _letter_moves
+# the walks held 1,222 (tableaux) and 1,030 (fiber) entries
+@pytest.mark.parametrize("method, bound", [("tableaux", 871), ("fiber", 679)])
+def test_pruned_walks_hold_fewer_entries(monkeypatch, method, bound):
+    counted = count_walk_entries(monkeypatch)
+    want = sL_determinant((1, 2, 1, 1), 2)
+    assert chi_twisted((1, 2, 1, 1), 2, method) == want
+    assert len(counted) == 1 and counted[0] <= bound
