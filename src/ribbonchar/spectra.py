@@ -216,7 +216,7 @@ def _letter_moves(letters, H, bits, tail):
         bit: {a: tuple(compress(into, [h == bit for h in row])) for a, row in rows}
         for bit in set(bits[:-1])
     }
-    # the moves into the live letters of the position after the table
+    # the moves into the letters live at the position that the next table fills
     live = frozenset(compress(into, [H(a, tail) == bits[-1] for a in letters]))
     tables = {}
     moves = []

@@ -286,9 +286,9 @@ def filling_sum(ring, shape, alphabet, pinned=None):
     the pair rules.  They stop at the cell's cap (``_rank_caps``), the
     largest rank that the cells below and right of it leave, so on a shape
     that has fillings every frontier of the walk extends to one.  A pinned
-    cell allows
-    only its rank and steps by half a letter, a letter of its own.  Cells of
-    one kind (neighbours, drops, append, pin, cap) share their moves.
+    cell allows only its rank and steps by half a letter, a letter of its
+    own.  Cells of one kind (neighbours, drops, append, pin, cap) share
+    their moves.
     """
     n = ring.n
     if alphabet == STANDARD:

@@ -351,4 +351,3 @@ def count_walk_entries(monkeypatch):
 
     monkeypatch.setattr(Ring, "walk_sum", shadow)
     return counted
-
